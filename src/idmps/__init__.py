@@ -2,6 +2,8 @@
 with gauge verification, Schmidt spectra, truncation, and an analytical
 coupled-oscillator example."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CenterOutOfRange,
     ConvergenceFailure,
@@ -84,4 +86,8 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -7,9 +7,9 @@ example). Each prints a single JSON report to stdout; diagnostics go to
 stderr.
 
 Exit codes: 0 success, 1 malformed input or parameters, 2 numerical
-failure, 3 verification / claimed-form failure. The environment
-variable IDMPS_RANK_TOL overrides the default rank-cut tolerance used
-by the decompositions.
+failure (including floating-point overflow), 3 verification /
+claimed-form failure. The environment variable IDMPS_RANK_TOL
+overrides the default rank-cut tolerance used by the decompositions.
 """
 
 import argparse
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroState, ConvergenceFailure) as exc:
+    except (ZeroState, ConvergenceFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except FormMismatch as exc:

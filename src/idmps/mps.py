@@ -12,9 +12,17 @@ optional per-bond weight vectors. Four constructions are provided:
   weight vectors such that every bond's weights are that bipartition's
   Schmidt coefficients.
 
-All constructions are reshape+SVD sweeps; without truncation they
-reproduce the input to working precision, and the bond->Schmidt
-identifications hold at every cut.
+All four start from one left-to-right SVD sweep over the dense data
+(TT-SVD), which is the left-canonical form. The others move its weight
+back along the chain with a site-level SVD step on the site tensors:
+the right form after a full back-sweep, the mixed form after the steps
+down to its center, the Vidal form after a full back-sweep that records
+every bond's weights. Truncation of a non-canonical state and Schmidt
+spectra of bonds without stored weights use the same step, so no
+operation here expands a chain back into a dense tensor except
+``to_dense`` itself. Without truncation the constructions reproduce
+the input to working precision, and the bond->Schmidt identifications
+hold at every cut.
 """
 
 from dataclasses import dataclass
@@ -33,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     ZeroState,
 )
-from .schmidt import entropy_from_values, schmidt_decompose
+from .schmidt import entropy_from_values
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, low_rank_error, svd, tensor_new
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
@@ -202,64 +210,94 @@ def _policy_keep(s: np.ndarray, policy: TruncationPolicy | None) -> int:
     return max(keep, 1)
 
 
-def _check_nonzero(t: DenseTensor) -> None:
-    if not np.any(t.data):
+def _check_nonzero(data: np.ndarray) -> None:
+    if not np.any(data):
         raise ZeroState("cannot decompose the zero tensor")
 
 
-def _single_site(t: DenseTensor, form: str, with_bonds: bool) -> MatrixProductState:
-    site = SiteTensor(t.shape[0], 1, 1, t.data)
-    return MatrixProductState(
-        sites=(site,), bonds=() if with_bonds else None, form=form
-    )
-
-
-def _right_sweep(
+def _dense_sweep(
     t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
-) -> tuple[list[SiteTensor], list[float]]:
-    """SVD sweep from site N to 2; returns sites plus per-cut discarded weights."""
-    shape = t.shape
-    n_sites = len(shape)
-    sites: list[SiteTensor] = [None] * n_sites  # type: ignore[list-item]
-    errors = [0.0] * (n_sites - 1)
-    m = t.data
-    right = 1
-    for n in range(n_sites, 1, -1):
-        rows = prod(shape[: n - 1])
-        res = svd(m.reshape(rows, shape[n - 1] * right), rank_tol)
+) -> tuple[list[np.ndarray], list[float]]:
+    """TT-SVD, the only pass over dense data: left isometries on sites
+    1..N-1, the remaining weight on site N, and each cut's discarded
+    weight. Blocks are (phys, left, right) arrays."""
+    _check_nonzero(t.data)
+    blocks, errors = [], []
+    m = t.data.reshape(1, -1)
+    for d in t.shape[:-1]:
+        res = svd(m.reshape(m.shape[0] * d, -1), rank_tol)
         keep = _policy_keep(res.s, policy)
-        errors[n - 2] = low_rank_error(res.s, keep)
-        vh = res.vh[:keep]
-        block = vh.reshape(keep, shape[n - 1], right).transpose(1, 0, 2)
-        sites[n - 1] = SiteTensor(shape[n - 1], keep, right, block.reshape(-1))
-        m = res.u[:, :keep] * res.s[:keep]
-        right = keep
-    sites[0] = SiteTensor(shape[0], 1, right, m.reshape(-1))
-    return sites, errors
-
-
-def _left_sweep(
-    t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
-) -> tuple[list[SiteTensor], list[float]]:
-    """Mirror sweep from site 1 to N-1; residual weights land on site N."""
-    shape = t.shape
-    n_sites = len(shape)
-    sites: list[SiteTensor] = [None] * n_sites  # type: ignore[list-item]
-    errors = [0.0] * (n_sites - 1)
-    m = t.data
-    left = 1
-    for n in range(1, n_sites):
-        cols = prod(shape[n:])
-        res = svd(m.reshape(left * shape[n - 1], cols), rank_tol)
-        keep = _policy_keep(res.s, policy)
-        errors[n - 1] = low_rank_error(res.s, keep)
-        u = res.u[:, :keep]
-        block = u.reshape(left, shape[n - 1], keep).transpose(1, 0, 2)
-        sites[n - 1] = SiteTensor(shape[n - 1], left, keep, block.reshape(-1))
+        errors.append(low_rank_error(res.s, keep))
+        blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
         m = res.s[:keep, None] * res.vh[:keep]
-        left = keep
-    sites[-1] = SiteTensor(shape[-1], left, 1, m.T.reshape(-1))
-    return sites, errors
+    blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
+    return blocks, errors
+
+
+def _sweep_left(
+    blocks: list[np.ndarray],
+    stop: int = 0,
+    policy: TruncationPolicy | None = None,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> list[tuple[np.ndarray, float]]:
+    """Move the weight from the last block onto block ``stop`` (0-based),
+    one site step per bond.
+
+    The step SVDs block n across its left bond, leaves the right isometry
+    Vh there and absorbs U S into block n-1. Its kept singular values are
+    the Schmidt values of that bond whenever blocks 0..n-1 are left
+    isometries. Returns (kept values, discarded weight) per step, last
+    bond first.
+    """
+    steps = []
+    for n in range(len(blocks) - 1, stop, -1):
+        d, left, right = blocks[n].shape
+        res = svd(blocks[n].transpose(1, 0, 2).reshape(left, d * right), rank_tol)
+        if res.rank == 0:
+            raise ZeroState("the state is zero")
+        keep = _policy_keep(res.s, policy)
+        blocks[n] = res.vh[:keep].reshape(keep, d, right).transpose(1, 0, 2)
+        blocks[n - 1] = blocks[n - 1] @ (res.u[:, :keep] * res.s[:keep])
+        steps.append((res.s[:keep], low_rank_error(res.s, keep)))
+    return steps
+
+
+def _mirror(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The chain read right to left (block order and bond axes swapped),
+    so that a left sweep of the mirror is a right sweep of the chain."""
+    return [g.transpose(0, 2, 1) for g in reversed(blocks)]
+
+
+def _blocks(m: MatrixProductState) -> list[np.ndarray]:
+    """Site arrays with every stored bond weight multiplied into the
+    block on its left: a weight-free chain for the same state."""
+    blocks = [site.as_array() for site in m.sites]
+    for n, spec in enumerate(m.bonds or ()):
+        if spec is not None:
+            blocks[n] = blocks[n] * spec.values
+    return blocks
+
+
+def _chain(
+    blocks: list[np.ndarray],
+    form: str,
+    bonds: tuple[BondSpectrum | None, ...] | None = None,
+    center: int | None = None,
+) -> MatrixProductState:
+    sites = tuple(SiteTensor(*g.shape, g) for g in blocks)
+    return MatrixProductState(sites=sites, bonds=bonds, form=form, center=center)
+
+
+def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
+    """Canonical form of a chain whose blocks 1..N-1 are left isometries.
+
+    An untruncated back-sweep leaves every bond's weights equal to the
+    exact Schmidt values of the final state; each Gamma is the block
+    left by the sweep divided by its right-bond weights.
+    """
+    lams = [s for s, _ in _sweep_left(blocks, 0, None, rank_tol)][::-1]
+    gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
+    return _chain(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
 
 
 def from_dense_right_canonical(
@@ -269,11 +307,9 @@ def from_dense_right_canonical(
 ) -> MatrixProductState:
     """Right-canonical MPS: sites 2..N right-normalized, site 1 carries
     the residual weights (its squared norm is the squared state norm)."""
-    _check_nonzero(t)
-    if t.ndim == 1:
-        return _single_site(t, "right", with_bonds=False)
-    sites, _ = _right_sweep(t, policy, rank_tol)
-    return MatrixProductState(sites=tuple(sites), form="right")
+    blocks, _ = _dense_sweep(t, policy, rank_tol)
+    _sweep_left(blocks, 0, None, rank_tol)
+    return _chain(blocks, "right")
 
 
 def from_dense_left_canonical(
@@ -283,11 +319,8 @@ def from_dense_left_canonical(
 ) -> MatrixProductState:
     """Left-canonical MPS: sites 1..N-1 left-normalized, site N carries
     the residual weights."""
-    _check_nonzero(t)
-    if t.ndim == 1:
-        return _single_site(t, "left", with_bonds=False)
-    sites, _ = _left_sweep(t, policy, rank_tol)
-    return MatrixProductState(sites=tuple(sites), form="left")
+    blocks, _ = _dense_sweep(t, policy, rank_tol)
+    return _chain(blocks, "left")
 
 
 def from_dense_mixed_canonical(
@@ -302,85 +335,17 @@ def from_dense_mixed_canonical(
     right-normalized, and the center bond weights are the Schmidt
     coefficients of the (1..center):(center+1..N) bipartition.
     """
-    _check_nonzero(t)
-    shape = t.shape
-    n_sites = len(shape)
+    n_sites = t.ndim
     if n_sites < 3 or not 2 <= center <= n_sites - 1:
         raise CenterOutOfRange(f"center must be in 2..{max(n_sites - 1, 2)} with N >= 3, got {center}")
-    # Right sweep down to center+1, leaving the carried block on the left.
-    sites: list[SiteTensor] = [None] * n_sites  # type: ignore[list-item]
-    m = t.data
-    right = 1
-    for n in range(n_sites, center, -1):
-        rows = prod(shape[: n - 1])
-        res = svd(m.reshape(rows, shape[n - 1] * right), rank_tol)
-        keep = _policy_keep(res.s, policy)
-        vh = res.vh[:keep]
-        block = vh.reshape(keep, shape[n - 1], right).transpose(1, 0, 2)
-        sites[n - 1] = SiteTensor(shape[n - 1], keep, right, block.reshape(-1))
-        m = res.u[:, :keep] * res.s[:keep]
-        right = keep
-    # Left sweep over the carried block, which is a (d_1..d_center, right) tensor.
-    left = 1
-    for n in range(1, center):
-        cols = prod(shape[n:center]) * right
-        res = svd(m.reshape(left * shape[n - 1], cols), rank_tol)
-        keep = _policy_keep(res.s, policy)
-        u = res.u[:, :keep]
-        block = u.reshape(left, shape[n - 1], keep).transpose(1, 0, 2)
-        sites[n - 1] = SiteTensor(shape[n - 1], left, keep, block.reshape(-1))
-        m = res.s[:keep, None] * res.vh[:keep]
-        left = keep
-    res = svd(m.reshape(left * shape[center - 1], right), rank_tol)
-    keep = _policy_keep(res.s, policy)
-    u = res.u[:, :keep]
-    block = u.reshape(left, shape[center - 1], keep).transpose(1, 0, 2)
-    sites[center - 1] = SiteTensor(shape[center - 1], left, keep, block.reshape(-1))
-    weights = res.s[:keep]
-    # Absorb vh into the right block; its orthonormal rows keep that block
-    # right-normalized.
-    nxt = sites[center].as_array()
-    merged = np.einsum("ab,kbc->kac", res.vh[:keep], nxt)
-    sites[center] = SiteTensor(
-        sites[center].phys_dim, keep, sites[center].right_dim, merged.reshape(-1)
-    )
+    blocks, _ = _dense_sweep(t, policy, rank_tol)
+    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1][0]
+    # The last step absorbed U S into the center site; U alone keeps it
+    # left-normalized.
+    blocks[center - 1] = blocks[center - 1] / weights
     bonds: list[BondSpectrum | None] = [None] * (n_sites - 1)
     bonds[center - 1] = BondSpectrum(weights)
-    return MatrixProductState(
-        sites=tuple(sites), bonds=tuple(bonds), form="mixed", center=center
-    )
-
-
-def _vidal_sweep(
-    t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
-) -> tuple[list[SiteTensor], list[BondSpectrum], list[float]]:
-    """Left-to-right sweep producing weight-free site tensors by dividing
-    each left bond's weights back out; every bond keeps its own Schmidt
-    coefficients."""
-    shape = t.shape
-    n_sites = len(shape)
-    sites: list[SiteTensor] = [None] * n_sites  # type: ignore[list-item]
-    bonds: list[BondSpectrum] = [None] * (n_sites - 1)  # type: ignore[list-item]
-    errors = [0.0] * (n_sites - 1)
-    m = t.data
-    left = 1
-    lam_prev: np.ndarray | None = None
-    for n in range(1, n_sites):
-        cols = prod(shape[n:])
-        res = svd(m.reshape(left * shape[n - 1], cols), rank_tol)
-        keep = _policy_keep(res.s, policy)
-        errors[n - 1] = low_rank_error(res.s, keep)
-        u = res.u[:, :keep].reshape(left, shape[n - 1], keep)
-        if lam_prev is not None:
-            u = u / lam_prev[:, None, None]
-        sites[n - 1] = SiteTensor(shape[n - 1], left, keep, u.transpose(1, 0, 2).reshape(-1))
-        bonds[n - 1] = BondSpectrum(res.s[:keep])
-        m = res.s[:keep, None] * res.vh[:keep]
-        lam_prev = res.s[:keep]
-        left = keep
-    tail = (m / lam_prev[:, None]).T  # the final vh block, weights divided back out
-    sites[-1] = SiteTensor(shape[-1], left, 1, tail.reshape(-1))
-    return sites, bonds, errors
+    return _chain(blocks, "mixed", tuple(bonds), center)
 
 
 def from_dense_vidal(
@@ -390,22 +355,16 @@ def from_dense_vidal(
 ) -> MatrixProductState:
     """Canonical-form MPS: every bond carries that cut's Schmidt
     coefficients and the site tensors are weight-free."""
-    _check_nonzero(t)
-    if t.ndim == 1:
-        return _single_site(t, "vidal", with_bonds=True)
-    sites, bonds, _ = _vidal_sweep(t, policy, rank_tol)
-    return MatrixProductState(sites=tuple(sites), bonds=tuple(bonds), form="vidal")
+    blocks, _ = _dense_sweep(t, policy, rank_tol)
+    return _vidal(blocks, rank_tol)
 
 
 def to_dense(m: MatrixProductState) -> DenseTensor:
     """Contract the chain (including any bond weights) back to a tensor."""
-    acc = m.sites[0].as_array()[:, 0, :]
-    if m.bonds and m.bonds[0] is not None:
-        acc = acc * m.bonds[0].values
-    for n in range(1, m.num_sites):
-        acc = np.tensordot(acc, m.sites[n].as_array(), axes=([-1], [1]))
-        if m.bonds and n < m.num_sites - 1 and m.bonds[n] is not None:
-            acc = acc * m.bonds[n].values
+    blocks = _blocks(m)
+    acc = blocks[0][:, 0, :]
+    for g in blocks[1:]:
+        acc = np.tensordot(acc, g, axes=([-1], [1]))
     return tensor_new(m.phys_dims, acc.reshape(-1))
 
 
@@ -519,9 +478,12 @@ def truncate(
     per-cut discarded weights sqrt(sum of dropped lambda^2).
 
     A canonical-form input is sliced in place (each bond's stored
-    spectrum decides what is dropped); anything else goes through a
-    dense round trip and comes back in canonical form. The result keeps
-    at least one value per bond.
+    spectrum decides what is dropped). Anything else is right-normalized
+    by a site sweep and truncated by a left-to-right site sweep, which
+    decides each cut on the exact Schmidt values of the state truncated
+    so far, so the per-cut errors add in quadrature to the distance from
+    the input; the back-sweep of from_dense_vidal then puts it in
+    canonical form. The result keeps at least one value per bond.
     """
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
@@ -542,30 +504,30 @@ def truncate(
             MatrixProductState(sites=tuple(sites), bonds=bonds, form="vidal"),
             errors,
         )
-    t = to_dense(m)
-    _check_nonzero(t)
-    if t.ndim == 1:
-        return _single_site(t, "vidal", with_bonds=True), []
-    sites, bonds, errors = _vidal_sweep(t, policy, DEFAULT_RANK_TOL)
-    return (
-        MatrixProductState(sites=tuple(sites), bonds=tuple(bonds), form="vidal"),
-        errors,
-    )
+    blocks = _blocks(m)
+    _sweep_left(blocks)
+    _check_nonzero(blocks[0])  # block 0 now carries the whole state
+    mirror = _mirror(blocks)
+    errors = [err for _, err in _sweep_left(mirror, 0, policy)]
+    return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
 
 
 def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     """Schmidt coefficients across bond ``cut`` (1..N-1).
 
-    Uses the stored weights when the form provides them at that cut;
-    otherwise re-derives them through a dense round trip.
+    Uses the stored weights when the form provides them at that cut.
+    Otherwise two site sweeps re-derive them: one right-normalizes the
+    sites after the cut, the other left-normalizes the sites before it,
+    and its last step's singular values are the coefficients.
     """
     if not 1 <= cut <= m.num_sites - 1:
         raise CutOutOfRange(f"cut must be in 1..{m.num_sites - 1}, got {cut}")
     if m.bonds is not None and m.bonds[cut - 1] is not None:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
-    sd = schmidt_decompose(to_dense(m), cut)
-    return BondSpectrum(sd.coefficients)
+    blocks = _blocks(m)
+    _sweep_left(blocks, cut - 1)
+    return BondSpectrum(_sweep_left(_mirror(blocks), m.num_sites - 1 - cut)[-1][0])
 
 
 def entanglement_entropy(m: MatrixProductState, cut: int) -> float:

@@ -120,10 +120,16 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise ShapeMismatch(f"svd needs a nonempty matrix, got shape {a.shape}")
+    # numpy's LAPACK call factors a tall row-major matrix about twice as
+    # fast as a wide one, so a wide matrix is factored as its transpose
+    # A^T = Vh^T S U^T.
+    wide = a.shape[0] < a.shape[1]
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        u, s, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    if wide:
+        u, vh = vh.T, u.T
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
     u, s, vh = u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy()

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idmps
 from idmps import load_mps, load_tensor, save_tensor, tensor_new, to_dense
 from idmps.cli import main
 
@@ -209,6 +214,21 @@ def test_verify_vidal_and_mixed(tmp_path, capsys):
             assert report["boundary_scalar"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_verify_passes_truncated_vidal_output(tmp_path, capsys):
+    rng = np.random.default_rng(60)
+    src = tmp_path / "random8.json"
+    save_tensor(str(src), tensor_new((2,) * 8, rng.standard_normal(256) + 1j * rng.standard_normal(256)))
+    mps_path = str(tmp_path / "vidal4.json")
+    code, report, _ = run_cli(
+        capsys, "decompose", str(src), "--form", "vidal", "--max-bond", "4", "--out", mps_path
+    )
+    assert code == 0
+    assert report["bond_dims"] == [2, 4, 4, 4, 4, 4, 2]
+    code, report, _ = run_cli(capsys, "verify", mps_path)
+    assert code == 0, report["residuals"]
+    assert report["passed"] is True
+
+
 def test_verify_unverifiable_form_exit_3(tmp_path, capsys):
     src = write_ghz(tmp_path)
     mps_path = tmp_path / "m.json"
@@ -303,6 +323,20 @@ def test_oscillator_rejects_nonpositive_frequency(tmp_path, capsys):
         str(tmp_path / "o.json"),
     )
     assert code == 1
+
+
+def test_oscillator_overflow_exit_2_without_traceback(tmp_path):
+    # The closed-form overlap table overflows a float at this degree.
+    package_root = str(Path(idmps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    argv = ["oscillator", "--n", "100", "--omega-tilde", "3", "--phys-cutoff", "200",
+            "--out-mps", str(tmp_path / "o.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "idmps.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_rank_tolerance_env_override(tmp_path, capsys, monkeypatch):

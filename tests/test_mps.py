@@ -343,7 +343,7 @@ def test_truncate_dense_difference_bound():
     assert diff <= np.sqrt(np.sum(np.asarray(errors) ** 2)) + 1e-9
 
 
-def test_truncate_non_vidal_goes_through_dense():
+def test_truncate_non_vidal_returns_canonical_form():
     rng = np.random.default_rng(42)
     t = random_tensor(rng, (3, 3, 3))
     m = from_dense_left_canonical(t)
@@ -351,6 +351,43 @@ def test_truncate_non_vidal_goes_through_dense():
     assert out.form == "vidal"
     assert all(d <= 2 for d in out.bond_dims)
     assert len(errors) == 2
+
+
+@pytest.mark.parametrize("form", ["left", "right", "mixed"])
+@pytest.mark.parametrize(
+    "policy", [TruncationPolicy(max_bond=3), TruncationPolicy(weight_tol=6.0)], ids=["chi", "tol"]
+)
+def test_truncate_non_vidal_matches_dense_oracle(form, policy):
+    # The oracle is the dense path: contract, then one truncating Vidal
+    # construction. Slicing an exact Vidal form is not an oracle here:
+    # its later cuts drop weight measured before the earlier cuts truncate.
+    rng = np.random.default_rng(46)
+    t = random_tensor(rng, (3, 2, 3, 2, 3))
+    m = dict(ALL_FORMS)[form](t)
+    out, errors = truncate(m, policy)
+    ref = from_dense_vidal(to_dense(m), policy)
+    # Discarded weights of the same left-to-right sweep over the dense data.
+    ref_errors, rest = [], to_dense(m).data.reshape(1, -1)
+    for d, keep in zip(t.shape, ref.bond_dims):
+        _, s, vh = np.linalg.svd(rest.reshape(rest.shape[0] * d, -1), full_matrices=False)
+        ref_errors.append(low_rank_error(s, keep))
+        rest = s[:keep, None] * vh[:keep]
+    assert out.bond_dims == ref.bond_dims
+    assert max(errors) > 0.0
+    np.testing.assert_allclose(errors, ref_errors, atol=1e-10)
+    np.testing.assert_allclose(to_dense(out).data, to_dense(ref).data, atol=1e-10)
+    assert verify_vidal(out).passed
+
+
+def test_truncate_zero_non_vidal_state_rejected():
+    policy = TruncationPolicy(max_bond=1)
+    zero_sites = (SiteTensor(2, 1, 2, np.zeros(4)), SiteTensor(2, 2, 1, np.zeros(4)))
+    # Nonzero sites whose bond vectors are orthogonal also contract to zero.
+    orthogonal = (SiteTensor(1, 1, 2, np.array([1.0, 0.0])), SiteTensor(1, 2, 1, np.array([0.0, 1.0])))
+    for sites in (zero_sites, orthogonal, (SiteTensor(3, 1, 1, np.zeros(3)),)):
+        for form in ("left", "unknown"):
+            with pytest.raises(ZeroState):
+                truncate(MatrixProductState(sites=sites, form=form), policy)
 
 
 def test_truncate_requires_policy():

@@ -1,0 +1,103 @@
+"""Property tests over random shapes and truncation policies."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idmps import (
+    TruncationPolicy,
+    from_dense_left_canonical,
+    from_dense_mixed_canonical,
+    from_dense_right_canonical,
+    from_dense_vidal,
+    site_left_residual,
+    site_right_residual,
+    tensor_new,
+    to_dense,
+    truncate,
+    verify_left_normalized,
+    verify_right_normalized,
+    verify_vidal,
+)
+
+shapes = st.lists(st.integers(2, 4), min_size=2, max_size=6).map(tuple)
+max_bonds = st.integers(1, 8)
+weight_tols = st.floats(0.0, 0.8)
+policies = st.one_of(
+    st.builds(TruncationPolicy, max_bond=max_bonds),
+    st.builds(TruncationPolicy, weight_tol=weight_tols),
+    st.builds(TruncationPolicy, max_bond=max_bonds, weight_tol=weight_tols),
+)
+cases = st.tuples(shapes, policies, st.integers(0, 2**32 - 1))
+
+
+def unit_tensor(shape, seed):
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    data = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return tensor_new(shape, data / np.linalg.norm(data))
+
+
+def builders(t):
+    """Every construction of ``t``; the mixed form at each valid center."""
+    out = {
+        "left": lambda p: from_dense_left_canonical(t, p),
+        "right": lambda p: from_dense_right_canonical(t, p),
+        "vidal": lambda p: from_dense_vidal(t, p),
+    }
+    for center in range(2, t.ndim):
+        out[f"mixed:{center}"] = lambda p, c=center: from_dense_mixed_canonical(t, c, p)
+    return out
+
+
+def passes_own_verifier(m) -> bool:
+    if m.form == "left":
+        return verify_left_normalized(m).passed
+    if m.form == "right":
+        return verify_right_normalized(m).passed
+    if m.form == "vidal":
+        return verify_vidal(m).passed
+    residuals = [
+        site_left_residual(site) if n <= m.center else site_right_residual(site)
+        for n, site in enumerate(m.sites, start=1)
+    ]
+    return max(residuals) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_truncated_constructions_pass_their_verifier(case):
+    shape, policy, seed = case
+    t = unit_tensor(shape, seed)
+    for name, build in builders(t).items():
+        assert passes_own_verifier(build(policy)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_truncate_errors_combine_to_the_distance(case):
+    shape, policy, seed = case
+    t = unit_tensor(shape, seed)
+    for name, build in builders(t).items():
+        if name == "vidal":
+            continue  # sliced by stored weights; the errors only bound the distance
+        out, errors = truncate(build(None), policy)
+        distance = float(np.linalg.norm(t.data - to_dense(out).data))
+        assert len(errors) == t.ndim - 1
+        assert all(err <= distance + 1e-10 for err in errors), name
+        assert abs(float(np.sqrt(np.sum(np.square(errors)))) - distance) <= 1e-10, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases)
+def test_constructions_are_bit_reproducible(case):
+    shape, policy, seed = case
+    t = unit_tensor(shape, seed)
+    for name, build in builders(t).items():
+        first, second = build(policy), build(policy)
+        assert first.bond_dims == second.bond_dims, name
+        for a, b in zip(first.sites, second.sites):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        for a, b in zip(first.bonds or (), second.bonds or ()):
+            assert (a is None) == (b is None), name
+            assert a is None or a.values.tobytes() == b.values.tobytes(), name
