@@ -41,6 +41,7 @@ from .mps import (
     from_dense_vidal,
     site_left_residual,
     site_right_residual,
+    state_norm,
     to_dense,
     truncate,
     verify_left_normalized,

@@ -13,10 +13,10 @@ overrides the default rank-cut tolerance used by the decompositions.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -31,12 +31,13 @@ from .mps import (
     from_dense_vidal,
     site_left_residual,
     site_right_residual,
+    state_norm,
     to_dense,
     verify_left_normalized,
     verify_right_normalized,
     verify_vidal,
 )
-from .oscillator import OscillatorParams, build_bundle, element_decay_table
+from .oscillator import OscillatorParams, _decay_columns, build_bundle
 from .schmidt import schmidt_decompose
 from .tensor import DEFAULT_RANK_TOL, low_rank_error, tensor_norm
 
@@ -195,6 +196,18 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 3
 
 
+def _write_decay_csv(path: str, bundle) -> None:
+    """The element-decay rows of A1, A2 and A3 as CSV, in the dialect
+    csv.writer uses (comma-separated, CRLF line ends), column by column."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("which,a,b,k,magnitude\r\n")
+        for which in ("A1", "A2", "A3"):
+            a, b, k, mag = _decay_columns(bundle, which)
+            lanes = [repeat("") if lane is None else lane.tolist() for lane in (a, b)]
+            line = which + ",{},{},{},{}\r\n"
+            fh.writelines(map(line.format, *lanes, k.tolist(), map(repr, mag.tolist())))
+
+
 def cmd_oscillator(args) -> int:
     params = OscillatorParams(
         n=args.n,
@@ -207,26 +220,13 @@ def cmd_oscillator(args) -> int:
     bundle = build_bundle(params)
     save_mps(args.out_mps, bundle.mps)
     if args.out_csv is not None:
-        with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["which", "a", "b", "k", "magnitude"])
-            for which in ("A1", "A2", "A3"):
-                for row in element_decay_table(bundle, which):
-                    writer.writerow(
-                        [
-                            row["which"],
-                            "" if row["a"] is None else row["a"],
-                            "" if row["b"] is None else row["b"],
-                            row["k"],
-                            repr(row["magnitude"]),
-                        ]
-                    )
+        _write_decay_csv(args.out_csv, bundle)
     report = {
         "n": params.n,
         "omega_tilde": params.omega_tilde,
         "phys_cutoff": params.phys_cutoff,
         "bond_dims": list(bundle.mps.bond_dims),
-        "norm": tensor_norm(to_dense(bundle.mps)),
+        "norm": state_norm(bundle.mps),
         "out_mps": args.out_mps,
     }
     if args.out_csv is not None:

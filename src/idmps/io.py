@@ -11,10 +11,19 @@ Two document kinds, both version 1:
 
 The mixed form serializes its center into the tag ("mixed:<n>"). All
 floats go through Python's shortest round-trip repr via the json module,
-so write->read is bit-stable.
+so write->read is bit-stable. Every payload entry must be finite: NaN,
+infinities and numbers beyond the float range are rejected on load.
+
+The writers stream each document: a fixed skeleton with json.dump's key
+order and separators, and each [re, im] payload in chunks through the C
+encoder (json.dumps). The files are byte for byte what json.dump of the
+whole document writes, without ever building that document. The reader
+type-checks and converts a payload in bulk and walks it entry by entry
+only to name the first bad entry.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -24,24 +33,65 @@ from .tensor import DenseTensor, tensor_new
 
 FILE_VERSION = 1
 
+# Entries per json.dumps call when writing a payload: large enough that
+# the C encoder does the work, small enough that no string or list of a
+# whole payload is ever built.
+_CHUNK = 1 << 14
 
-def _encode_complex(data: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in data]
+
+def _write_complex(fh, data: np.ndarray) -> None:
+    """Write ``data`` as the JSON list [[re, im], ...], byte for byte what
+    json.dump writes for it, a chunk of entries at a time through the
+    C encoder."""
+    pairs = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
+    fh.write("[")
+    for start in range(0, len(pairs), _CHUNK):
+        if start:
+            fh.write(", ")
+        fh.write(json.dumps(pairs[start : start + _CHUNK].tolist())[1:-1])
+    fh.write("]")
+
+
+def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FileFormatError(f"{what}: entry {bad[0]} is not finite")
+    return values
+
+
+def _bulk_pairs(pairs: list) -> np.ndarray | None:
+    """All entries as one complex array, or None when some entry is not a
+    [re, im] pair of numbers or overflows a float."""
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=float).view(complex)
+    except OverflowError:
+        return None
 
 
 def _decode_complex(pairs, what: str) -> np.ndarray:
     if not isinstance(pairs, list):
         raise FileFormatError(f"{what}: data must be a list of [re, im] pairs")
-    out = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out
+    out = _bulk_pairs(pairs)
+    if out is None:
+        # Entry by entry, only to name the first bad one.
+        out = np.empty(len(pairs), dtype=complex)
+        for i, pair in enumerate(pairs):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            ):
+                raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
+            try:
+                out[i] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise FileFormatError(f"{what}: entry {i} is not finite") from None
+    return _check_finite(out, what)
 
 
 def _load_document(path: str, what: str) -> dict:
@@ -50,6 +100,8 @@ def _load_document(path: str, what: str) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{what} {path!r}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise FileFormatError(f"{what} {path!r}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what} {path!r}: top level must be an object")
     if doc.get("version") != FILE_VERSION:
@@ -58,14 +110,10 @@ def _load_document(path: str, what: str) -> dict:
 
 
 def save_tensor(path: str, t: DenseTensor) -> None:
-    doc = {
-        "version": FILE_VERSION,
-        "shape": list(t.shape),
-        "data": _encode_complex(t.data),
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{{"version": {FILE_VERSION}, "shape": {json.dumps(list(t.shape))}, "data": ')
+        _write_complex(fh, t.data)
+        fh.write("}\n")
 
 
 def load_tensor(path: str) -> DenseTensor:
@@ -106,29 +154,19 @@ def _tag_to_form(tag, path: str) -> tuple[str, int | None]:
 
 
 def save_mps(path: str, m: MatrixProductState) -> None:
-    sites = [
-        {
-            "phys_dim": s.phys_dim,
-            "left_dim": s.left_dim,
-            "right_dim": s.right_dim,
-            "data": _encode_complex(s.data),
-        }
-        for s in m.sites
-    ]
-    bonds = None
-    if m.bonds is not None:
-        bonds = [
-            None if b is None else [float(v) for v in b.values] for b in m.bonds
-        ]
-    doc = {
-        "version": FILE_VERSION,
-        "form": _form_to_tag(m),
-        "sites": sites,
-        "bonds": bonds,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{{"version": {FILE_VERSION}, "form": {json.dumps(_form_to_tag(m))}, "sites": [')
+        for n, s in enumerate(m.sites):
+            fh.write(
+                f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
+                f'"right_dim": {s.right_dim}, "data": '
+            )
+            _write_complex(fh, s.data)
+            fh.write("}")
+        bonds = None
+        if m.bonds is not None:
+            bonds = [None if b is None else b.values.tolist() for b in m.bonds]
+        fh.write(f'], "bonds": {json.dumps(bonds)}}}\n')
 
 
 def load_mps(path: str) -> MatrixProductState:
@@ -164,14 +202,17 @@ def load_mps(path: str) -> MatrixProductState:
             if raw is None:
                 bonds.append(None)
                 continue
-            if not isinstance(raw, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-            ):
+            if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
                 raise FileFormatError(
                     f"mps file {path!r}: bond {n} must be null or a list of reals"
                 )
+            what = f"mps file {path!r} bond {n}"
             try:
-                bonds.append(BondSpectrum(np.asarray(raw, dtype=float)))
+                values = _check_finite(np.array(raw, dtype=float), what)
+            except OverflowError:
+                raise FileFormatError(f"{what}: an entry is not finite") from None
+            try:
+                bonds.append(BondSpectrum(values))
             except ValueError as exc:
                 raise FileFormatError(f"mps file {path!r}: bond {n}: {exc}") from exc
     try:

@@ -370,16 +370,32 @@ def to_dense(m: MatrixProductState) -> DenseTensor:
 
 def site_left_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k)+ M^(k) from the identity."""
-    g = site.as_array()
-    gram = np.einsum("kab,kac->bc", g.conj(), g)
+    flat = site.data.reshape(-1, site.right_dim)
+    gram = flat.conj().T @ flat
     return float(np.max(np.abs(gram - np.eye(site.right_dim))))
 
 
 def site_right_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k) M^(k)+ from the identity."""
-    g = site.as_array()
-    gram = np.einsum("kab,kcb->ac", g, g.conj())
+    flat = site.as_array().transpose(1, 0, 2).reshape(site.left_dim, -1)
+    gram = flat @ flat.conj().T
     return float(np.max(np.abs(gram - np.eye(site.left_dim))))
+
+
+def _transfer(env: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sum_k g[k]^+ env g[k] for a (phys, left, right) block g: the
+    left environment ``env`` carried across one site."""
+    right = block.shape[2]
+    return block.reshape(-1, right).conj().T @ np.matmul(env, block).reshape(-1, right)
+
+
+def state_norm(m: MatrixProductState) -> float:
+    """Euclidean norm of the state, from the chain contracted with its
+    conjugate site by site (the dense tensor is never built)."""
+    env = np.ones((1, 1), dtype=complex)
+    for block in _blocks(m):
+        env = _transfer(env, block)
+    return float(np.sqrt(abs(env[0, 0].real)))
 
 
 def _normalization_report(
@@ -458,14 +474,14 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> VidalReport:
     for n in range(1, n_sites):
         g = m.sites[n - 1].as_array()
         w = g if n == 1 else g * lams[n - 2][None, :, None]
-        gram = np.einsum("kca,cd,kdb->ab", w.conj(), gram, w)
+        gram = _transfer(gram, w)
         left_res[n - 1] = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     right_res = [0.0] * (n_sites - 1)
     gram = np.ones((1, 1), dtype=complex)
     for n in range(n_sites, 1, -1):
         g = m.sites[n - 1].as_array()
         w = g if n == n_sites else g * lams[n - 1][None, None, :]
-        gram = np.einsum("kac,cd,kbd->ab", w.conj(), gram, w)
+        gram = _transfer(gram, w.transpose(0, 2, 1))
         right_res[n - 2] = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     residuals = tuple(max(l, r) for l, r in zip(left_res, right_res))
     return VidalReport(passed=all(r <= tol for r in residuals), residuals=residuals, tol=tol)

@@ -26,6 +26,7 @@ factorials finite.
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
 
 import numpy as np
@@ -399,6 +400,30 @@ def wavefunction_direct(
     return float(total)
 
 
+def _decay_columns(
+    bundle: OscillatorMpsBundle, which: str
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The a, b, k and magnitude columns of ``element_decay_table``, in
+    its row order (lane by lane, physical index fastest); a lane index
+    the table does not carry is None."""
+    n, d = bundle.params.n, bundle.params.phys_cutoff
+    lanes = np.arange(n + 1)
+    if which == "A1":
+        a, b = lanes, None
+        table = bundle.a1[:, : n + 1]
+    elif which == "A2":
+        a, b = np.nonzero(np.add.outer(lanes, lanes) <= n)
+        table = bundle.a2[:, a, b]
+    elif which == "A3":
+        a = None
+        b = np.array([j for j in range(n + 1) if gamma(j, bundle.params) != 0.0], dtype=int)
+        table = bundle.a3[:, b]
+    else:
+        raise ValueError(f"which must be 'A1', 'A2' or 'A3', got {which!r}")
+    a, b = (None if lane is None else np.repeat(lane, d) for lane in (a, b))
+    return a, b, np.tile(np.arange(d), table.shape[1]), np.abs(table).T.reshape(-1)
+
+
 def element_decay_table(bundle: OscillatorMpsBundle, which: str) -> list[dict]:
     """Magnitude of each table element versus its physical index.
 
@@ -406,33 +431,12 @@ def element_decay_table(bundle: OscillatorMpsBundle, which: str) -> list[dict]:
     magnitude; lanes that are identically zero are omitted. This is the
     data behind the element-decay plots.
     """
-    n, d = bundle.params.n, bundle.params.phys_cutoff
-    rows: list[dict] = []
-    if which == "A1":
-        for a in range(n + 1):
-            for k in range(d):
-                rows.append(
-                    {"which": "A1", "a": a, "b": None, "k": k, "magnitude": float(abs(bundle.a1[k, a]))}
-                )
-    elif which == "A2":
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                for l in range(d):
-                    rows.append(
-                        {"which": "A2", "a": a, "b": b, "k": l, "magnitude": float(abs(bundle.a2[l, a, b]))}
-                    )
-    elif which == "A3":
-        gammas = [gamma(b, bundle.params) for b in range(n + 1)]
-        for b in range(n + 1):
-            if gammas[b] == 0.0:
-                continue
-            for m in range(d):
-                rows.append(
-                    {"which": "A3", "a": None, "b": b, "k": m, "magnitude": float(abs(bundle.a3[m, b]))}
-                )
-    else:
-        raise ValueError(f"which must be 'A1', 'A2' or 'A3', got {which!r}")
-    return rows
+    a, b, k, mag = _decay_columns(bundle, which)
+    lanes = [repeat(None) if lane is None else lane.tolist() for lane in (a, b)]
+    return [
+        {"which": which, "a": ai, "b": bi, "k": ki, "magnitude": mi}
+        for ai, bi, ki, mi in zip(*lanes, k.tolist(), mag.tolist())
+    ]
 
 
 def oscillator_dense(bundle: OscillatorMpsBundle) -> DenseTensor:

@@ -325,17 +325,42 @@ def test_oscillator_rejects_nonpositive_frequency(tmp_path, capsys):
     assert code == 1
 
 
-def test_oscillator_overflow_exit_2_without_traceback(tmp_path):
-    # The closed-form overlap table overflows a float at this degree.
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
     package_root = str(Path(idmps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
-    argv = ["oscillator", "--n", "100", "--omega-tilde", "3", "--phys-cutoff", "200",
-            "--out-mps", str(tmp_path / "o.json")]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "idmps.cli", *argv], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+def test_oscillator_overflow_exit_2_without_traceback(tmp_path):
+    # The closed-form overlap table overflows a float at this degree.
+    proc = run_cli_process("oscillator", "--n", "100", "--omega-tilde", "3", "--phys-cutoff", "200",
+                           "--out-mps", str(tmp_path / "o.json"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("numerical failure:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_tensor_entry_exit_1_without_traceback(tmp_path):
+    # 1e400 parses to an infinite float; it must not reach the MPS file.
+    src = tmp_path / "inf.json"
+    src.write_text('{"version": 1, "shape": [2], "data": [[1e400, 0.0], [0.0, 0.0]]}')
+    out = tmp_path / "o.json"
+    proc = run_cli_process("decompose", str(src), "--form", "left", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "entry 0 is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_deeply_nested_tensor_file_exit_1_without_traceback(tmp_path):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100000 + "]" * 100000)
+    proc = run_cli_process("decompose", str(src), "--form", "left", "--out", str(tmp_path / "o.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
 

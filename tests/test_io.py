@@ -1,0 +1,252 @@
+"""File formats: the streamed writers against json.dump of the whole
+document, bulk decoding, rejection of malformed or non-finite payloads,
+and the oscillator CSV against csv.writer."""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from idmps import (
+    BondSpectrum,
+    FileFormatError,
+    MatrixProductState,
+    OscillatorParams,
+    SiteTensor,
+    build_bundle,
+    element_decay_table,
+    gamma,
+    load_mps,
+    load_tensor,
+    save_mps,
+    save_tensor,
+    tensor_new,
+)
+from idmps.cli import main
+from idmps.io import _CHUNK, _write_complex
+
+LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _pairs(data) -> list:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(data, dtype=complex).reshape(-1)]
+
+
+def _dumped(doc) -> str:
+    buf = io.StringIO()
+    json.dump(doc, buf)
+    return buf.getvalue() + "\n"
+
+
+def _payload(length: int, real: bool, seed: int) -> np.ndarray:
+    """Random entries with the float extremes (and a negative zero
+    imaginary part) at the front."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(length)
+    if not real:
+        data = data + 1j * rng.standard_normal(length)
+        data[: len(EXTREMES)] = [complex(v, -v) for v in EXTREMES][:length]
+    else:
+        data[: len(EXTREMES)] = EXTREMES[:length]
+    return data
+
+
+@pytest.mark.parametrize("length", [0, *LENGTHS])
+def test_write_complex_matches_json_dump(length):
+    data = _payload(length, real=False, seed=length)
+    buf = io.StringIO()
+    _write_complex(buf, data)
+    assert buf.getvalue() == json.dumps(_pairs(data))
+
+
+@pytest.mark.parametrize(
+    "length,real", [(length, False) for length in LENGTHS] + [(1, True), (_CHUNK + 1, True)]
+)
+def test_save_tensor_matches_json_dump(tmp_path, length, real):
+    t = tensor_new((length,), _payload(length, real, seed=length))
+    path = tmp_path / "t.json"
+    save_tensor(str(path), t)
+    assert path.read_text() == _dumped({"version": 1, "shape": [length], "data": _pairs(t.data)})
+
+
+def test_save_tensor_multi_axis_matches_json_dump(tmp_path):
+    t = tensor_new((3, 1, 4), _payload(12, real=False, seed=3))
+    path = tmp_path / "t.json"
+    save_tensor(str(path), t)
+    assert path.read_text() == _dumped({"version": 1, "shape": [3, 1, 4], "data": _pairs(t.data)})
+
+
+def _chain(length: int, bonds: str, real: bool) -> MatrixProductState:
+    """Three sites: a first site of ``length`` entries (phys_dim length,
+    bond dims 1), then two sites joined by a bond of dimension 3."""
+    sites = (
+        SiteTensor(length, 1, 1, _payload(length, real, seed=length)),
+        SiteTensor(2, 1, 3, _payload(6, real, seed=1)),
+        SiteTensor(2, 3, 1, _payload(6, real, seed=2)),
+    )
+    extreme = BondSpectrum(np.array([1.7976931348623157e308, 1.0, 5e-324]))
+    if bonds == "null":
+        return MatrixProductState(sites=sites, form="left")
+    if bonds == "mixed":
+        return MatrixProductState(sites=sites, bonds=(None, extreme), form="mixed", center=2)
+    return MatrixProductState(sites=sites, bonds=(BondSpectrum(np.array([0.5])), extreme), form="vidal")
+
+
+def _mps_document(m: MatrixProductState) -> dict:
+    form = f"mixed:{m.center}" if m.form == "mixed" else m.form
+    return {
+        "version": 1,
+        "form": form,
+        "sites": [
+            {"phys_dim": s.phys_dim, "left_dim": s.left_dim, "right_dim": s.right_dim, "data": _pairs(s.data)}
+            for s in m.sites
+        ],
+        "bonds": None
+        if m.bonds is None
+        else [None if b is None else [float(v) for v in b.values] for b in m.bonds],
+    }
+
+
+MPS_CASES = [(length, "vidal", False) for length in LENGTHS] + [
+    (length, bonds, real)
+    for length in (1, _CHUNK + 1)
+    for bonds in ("null", "mixed")
+    for real in (False, True)
+]
+
+
+@pytest.mark.parametrize("length,bonds,real", MPS_CASES)
+def test_save_mps_matches_json_dump(tmp_path, length, bonds, real):
+    m = _chain(length, bonds, real)
+    path = tmp_path / "m.json"
+    save_mps(str(path), m)
+    assert path.read_text() == _dumped(_mps_document(m))
+    back = load_mps(str(path))
+    for s, t in zip(back.sites, m.sites):
+        assert s.data.view(np.uint64).tolist() == t.data.view(np.uint64).tolist()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2)), elements=finite_floats))
+def test_tensor_round_trip_is_bit_exact(tmp_path_factory, parts):
+    data = parts.view(complex).reshape(-1)
+    path = tmp_path_factory.mktemp("rt") / "t.json"
+    save_tensor(str(path), tensor_new((data.size,), data))
+    back = load_tensor(str(path)).data
+    assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+def _write_tensor_doc(path, data) -> str:
+    path.write_text(json.dumps({"version": 1, "shape": [len(data)], "data": data}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[True, 0.0], ["1", 0.0], [None, 0.0], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0], 0.0], 1.0],
+    ids=["bool", "string", "null", "one", "three", "nested", "not-a-list"],
+)
+def test_decode_names_first_bad_entry(tmp_path, bad):
+    data = [[1.0, 2.0], [3, -4], [0.5, 0.25], bad, bad, [1.0, 1.0]]
+    path = _write_tensor_doc(tmp_path / "t.json", data)
+    with pytest.raises(FileFormatError, match=r": entry 3 is not a \[re, im\] pair$"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400])
+def test_non_finite_tensor_entry_rejected(tmp_path, literal):
+    path = tmp_path / "t.json"
+    path.write_text(
+        f'{{"version": 1, "shape": [4], "data": [[1.0, 0.0], [0.0, 1.0], [0.0, {literal}], [{literal}, 0.0]]}}'
+    )
+    with pytest.raises(FileFormatError, match=r": entry 2 is not finite$"):
+        load_tensor(str(path))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_mps_payload_rejected(tmp_path, literal):
+    m = _chain(2, "vidal", real=False)
+    good = tmp_path / "m.json"
+    save_mps(str(good), m)
+    text = good.read_text()
+    site = tmp_path / "site.json"
+    site.write_text(text.replace('"data": [[', f'"data": [[{literal}, 0.0], [', 1))
+    with pytest.raises(FileFormatError, match=r"site 1: entry 0 is not finite$"):
+        load_mps(str(site))
+    bond = tmp_path / "bond.json"
+    bond.write_text(text.replace('"bonds": [[0.5]', f'"bonds": [[{literal}]', 1))
+    with pytest.raises(FileFormatError, match=r"bond 1: .*not finite$"):
+        load_mps(str(bond))
+
+
+def _reference_csv(bundle) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["which", "a", "b", "k", "magnitude"])
+    for which in ("A1", "A2", "A3"):
+        for row in element_decay_table(bundle, which):
+            writer.writerow(
+                [
+                    row["which"],
+                    "" if row["a"] is None else row["a"],
+                    "" if row["b"] is None else row["b"],
+                    row["k"],
+                    repr(row["magnitude"]),
+                ]
+            )
+    return buf.getvalue()
+
+
+# Default angles put the mode on site 3, so all A3 lanes but b = n vanish.
+OSCILLATORS = [
+    dict(n=3, omega_tilde=1.3, theta=0.0, phi=0.0, varphi=0.0, phys_cutoff=9),
+    dict(n=4, omega_tilde=0.8, theta=0.7, phi=0.4, varphi=1.1, phys_cutoff=7),
+]
+
+
+@pytest.mark.parametrize("kw", OSCILLATORS)
+def test_oscillator_csv_matches_csv_writer(tmp_path, capsys, kw):
+    out_csv = tmp_path / "osc.csv"
+    argv = ["oscillator", "--n", str(kw["n"]), "--omega-tilde", repr(kw["omega_tilde"]),
+            "--theta", repr(kw["theta"]), "--phi", repr(kw["phi"]), "--varphi", repr(kw["varphi"]),
+            "--phys-cutoff", str(kw["phys_cutoff"]), "--out-mps", str(tmp_path / "osc.json"),
+            "--out-csv", str(out_csv)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        assert fh.read() == _reference_csv(build_bundle(OscillatorParams(**kw)))
+
+
+@pytest.mark.parametrize("kw", OSCILLATORS)
+def test_element_decay_rows_follow_lane_order(kw):
+    """Rows lane by lane, physical index fastest; zero A3 lanes left out."""
+    bundle = build_bundle(OscillatorParams(**kw))
+    n, d = kw["n"], kw["phys_cutoff"]
+    expected = {
+        "A1": [(a, None, k, abs(bundle.a1[k, a])) for a in range(n + 1) for k in range(d)],
+        "A2": [
+            (a, b, k, abs(bundle.a2[k, a, b]))
+            for a in range(n + 1)
+            for b in range(n + 1 - a)
+            for k in range(d)
+        ],
+        "A3": [
+            (None, b, k, abs(bundle.a3[k, b]))
+            for b in range(n + 1)
+            if gamma(b, bundle.params) != 0.0
+            for k in range(d)
+        ],
+    }
+    for which, rows in expected.items():
+        got = [(r["a"], r["b"], r["k"], r["magnitude"]) for r in element_decay_table(bundle, which)]
+        assert got == rows
+        assert all(r["which"] == which for r in element_decay_table(bundle, which))

@@ -27,6 +27,7 @@ from idmps import (
     schmidt_decompose,
     site_left_residual,
     site_right_residual,
+    state_norm,
     tensor_new,
     tensor_norm,
     to_dense,
@@ -491,3 +492,22 @@ def test_low_rank_error_consistency_with_truncate():
     lam = m.bonds[0].values
     _, errors = truncate(m, TruncationPolicy(max_bond=2))
     assert errors[0] == pytest.approx(low_rank_error(lam, 2), abs=1e-14)
+
+
+def test_state_norm_matches_dense_norm_on_every_form():
+    rng = np.random.default_rng(46)
+    for shape in [(3,), (2, 2), (4, 3, 5, 2), (2, 3, 2, 3, 2)]:
+        t = random_tensor(rng, shape)
+        builders = ALL_FORMS if len(shape) >= 3 else ALL_FORMS[:2] + ALL_FORMS[3:]
+        states = [(name, build(t)) for name, build in builders]
+        if len(shape) >= 2:
+            vidal = from_dense_vidal(t)
+            states.append(("truncated", truncate(vidal, TruncationPolicy(max_bond=2))[0]))
+        dims = [1] + [3] * (len(shape) - 1) + [1]
+        sites = tuple(
+            SiteTensor(d, dims[n], dims[n + 1], rng.standard_normal(d * dims[n] * dims[n + 1]) * 1j)
+            for n, d in enumerate(shape)
+        )
+        states.append(("unknown", MatrixProductState(sites=sites)))
+        for name, m in states:
+            assert state_norm(m) == pytest.approx(tensor_norm(to_dense(m)), rel=1e-12), (name, shape)
