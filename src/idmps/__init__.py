@@ -26,6 +26,8 @@ from .io import load_mps, load_tensor, save_mps, save_tensor
 from .mps import (
     FORMS,
     BondSpectrum,
+    CutDiagnostics,
+    GaugeReport,
     MatrixProductState,
     NormalizationReport,
     SiteTensor,
@@ -34,6 +36,7 @@ from .mps import (
     apply_site_map,
     bond_spectrum,
     coefficient,
+    decompose,
     entanglement_entropy,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
@@ -44,6 +47,7 @@ from .mps import (
     state_norm,
     to_dense,
     truncate,
+    verify,
     verify_left_normalized,
     verify_right_normalized,
     verify_vidal,

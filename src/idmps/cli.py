@@ -22,24 +22,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, FormMismatch, IdmpsError, ZeroState
 from .io import load_mps, load_tensor, save_mps, save_tensor
-from .mps import (
-    MatrixProductState,
-    TruncationPolicy,
-    from_dense_left_canonical,
-    from_dense_mixed_canonical,
-    from_dense_right_canonical,
-    from_dense_vidal,
-    site_left_residual,
-    site_right_residual,
-    state_norm,
-    to_dense,
-    verify_left_normalized,
-    verify_right_normalized,
-    verify_vidal,
-)
+from .mps import TruncationPolicy, decompose, state_norm, to_dense, verify
 from .oscillator import OscillatorParams, _decay_columns, build_bundle
-from .schmidt import schmidt_decompose
-from .tensor import DEFAULT_RANK_TOL, low_rank_error, tensor_norm
+from .tensor import DEFAULT_RANK_TOL, tensor_norm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,28 +68,14 @@ def cmd_decompose(args) -> int:
     policy = None
     if args.max_bond is not None or args.weight_tol is not None:
         policy = TruncationPolicy(max_bond=args.max_bond, weight_tol=args.weight_tol)
-    rank_tol = _rank_tol()
-    if form == "left":
-        m = from_dense_left_canonical(t, policy, rank_tol)
-    elif form == "right":
-        m = from_dense_right_canonical(t, policy, rank_tol)
-    elif form == "vidal":
-        m = from_dense_vidal(t, policy, rank_tol)
-    else:
-        m = from_dense_mixed_canonical(t, center, policy, rank_tol)
+    m, cuts = decompose(t, form, center, policy, _rank_tol())
     save_mps(args.out, m)
-    spectra = [
-        schmidt_decompose(t, cut, rank_tol).coefficients for cut in range(1, t.ndim)
-    ]
     report = {
         "form": args.form,
         "shape": list(t.shape),
         "bond_dims": list(m.bond_dims),
-        "bonds": [[float(v) for v in s] for s in spectra],
-        "truncation_errors": [
-            low_rank_error(s, min(dim, s.size))
-            for s, dim in zip(spectra, m.bond_dims)
-        ],
+        "bonds": [cut.spectrum.tolist() for cut in cuts],
+        "truncation_errors": [cut.discarded for cut in cuts],
         "out": args.out,
     }
     _emit(report)
@@ -133,67 +104,10 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _verify_mixed(m: MatrixProductState, tol: float) -> dict:
-    center = m.center
-    residuals = []
-    for n in range(1, m.num_sites + 1):
-        if n <= center:
-            residuals.append(site_left_residual(m.sites[n - 1]))
-        else:
-            residuals.append(site_right_residual(m.sites[n - 1]))
-    spectrum = m.bonds[center - 1] if m.bonds is not None else None
-    if spectrum is None:
-        raise FormMismatch("mixed form needs weights on the center bond")
-    worst = max(range(1, m.num_sites + 1), key=lambda n: residuals[n - 1])
-    return {
-        "form": f"mixed:{center}",
-        "residuals": residuals,
-        "worst_site": worst,
-        "boundary_scalar": float(np.sum(spectrum.values**2)),
-        "passed": residuals[worst - 1] <= tol,
-        "tol": tol,
-    }
-
-
 def cmd_verify(args) -> int:
-    m = load_mps(args.input)
-    tol = args.tol
-    if m.form == "left":
-        rep = verify_left_normalized(m, tol)
-        report = {
-            "form": "left",
-            "residuals": list(rep.residuals),
-            "worst_site": rep.worst_site,
-            "boundary_site": rep.boundary_site,
-            "boundary_scalar": rep.boundary_scalar,
-            "passed": rep.passed,
-            "tol": tol,
-        }
-    elif m.form == "right":
-        rep = verify_right_normalized(m, tol)
-        report = {
-            "form": "right",
-            "residuals": list(rep.residuals),
-            "worst_site": rep.worst_site,
-            "boundary_site": rep.boundary_site,
-            "boundary_scalar": rep.boundary_scalar,
-            "passed": rep.passed,
-            "tol": tol,
-        }
-    elif m.form == "vidal":
-        rep = verify_vidal(m, tol)
-        report = {
-            "form": "vidal",
-            "residuals": list(rep.residuals),
-            "passed": rep.passed,
-            "tol": tol,
-        }
-    elif m.form == "mixed":
-        report = _verify_mixed(m, tol)
-    else:
-        raise FormMismatch("file claims no canonical form to verify")
-    _emit(report)
-    return 0 if report["passed"] else 3
+    report = verify(load_mps(args.input), args.tol)
+    _emit(report.as_dict())
+    return 0 if report.passed else 3
 
 
 def _write_decay_csv(path: str, bundle) -> None:

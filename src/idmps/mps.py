@@ -12,21 +12,25 @@ optional per-bond weight vectors. Four constructions are provided:
   weight vectors such that every bond's weights are that bipartition's
   Schmidt coefficients.
 
-All four start from one left-to-right SVD sweep over the dense data
-(TT-SVD), which is the left-canonical form. The others move its weight
-back along the chain with a site-level SVD step on the site tensors:
-the right form after a full back-sweep, the mixed form after the steps
-down to its center, the Vidal form after a full back-sweep that records
-every bond's weights. Truncation of a non-canonical state and Schmidt
-spectra of bonds without stored weights use the same step, so no
-operation here expands a chain back into a dense tensor except
-``to_dense`` itself. Without truncation the constructions reproduce
-the input to working precision, and the bond->Schmidt identifications
-hold at every cut.
+``decompose`` builds all four from one left-to-right SVD sweep over the
+dense data (TT-SVD), which is the left-canonical form. The others move
+its weight back along the chain with a site-level SVD step on the site
+tensors: the right form after a full back-sweep, the mixed form after
+the steps down to its center, the Vidal form after a full back-sweep
+that records every bond's weights. Alongside the state, ``decompose``
+returns the sweep's own record of every cut (``CutDiagnostics``): the
+singular values its SVD found there, how many the policy kept, and the
+weight it discarded. Those discarded weights add in quadrature to the
+distance between the input and the returned state. Truncation of a
+non-canonical state and Schmidt spectra of bonds without stored weights
+use the same site step, so no operation here expands a chain back into
+a dense tensor except ``to_dense`` itself. Without truncation the
+constructions reproduce the input to working precision, and the
+bond->Schmidt identifications hold at every cut. ``verify`` checks
+whichever gauge a state's form tag claims.
 """
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -196,6 +200,45 @@ class VidalReport:
     tol: float
 
 
+@dataclass(frozen=True)
+class GaugeReport:
+    """``verify`` outcome for any claimed canonical form.
+
+    ``form`` is the form tag (``mixed:<center>`` for mixed states).
+    ``residuals`` are per site, except for the Vidal form, where they are
+    per cut and the three site fields are None. A mixed state has no
+    boundary site: its ``boundary_scalar`` is the squared sum of the
+    center weights.
+    """
+
+    form: str
+    residuals: tuple[float, ...]
+    worst_site: int | None
+    boundary_site: int | None
+    boundary_scalar: float | None
+    passed: bool
+    tol: float
+
+    def as_dict(self) -> dict:
+        """The fields that apply to this form, in declaration order."""
+        return {name: value for name, value in vars(self).items() if value is not None}
+
+
+@dataclass(frozen=True)
+class CutDiagnostics:
+    """What the dense sweep did at one cut.
+
+    ``spectrum`` holds the singular values its SVD found there, after the
+    rank cut (without truncation, that cut's Schmidt coefficients of the
+    input), ``kept`` how many of them the policy kept, and ``discarded``
+    the dropped weight sqrt(sum of spectrum[kept:]^2).
+    """
+
+    spectrum: np.ndarray
+    kept: int
+    discarded: float
+
+
 def _policy_keep(s: np.ndarray, policy: TruncationPolicy | None) -> int:
     """Number of values to retain from a nonincreasing list under ``policy``."""
     keep = int(s.size)
@@ -217,21 +260,21 @@ def _check_nonzero(data: np.ndarray) -> None:
 
 def _dense_sweep(
     t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
-) -> tuple[list[np.ndarray], list[float]]:
+) -> tuple[list[np.ndarray], tuple[CutDiagnostics, ...]]:
     """TT-SVD, the only pass over dense data: left isometries on sites
-    1..N-1, the remaining weight on site N, and each cut's discarded
-    weight. Blocks are (phys, left, right) arrays."""
+    1..N-1, the remaining weight on site N, and each cut's record.
+    Blocks are (phys, left, right) arrays."""
     _check_nonzero(t.data)
-    blocks, errors = [], []
+    blocks, cuts = [], []
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
         res = svd(m.reshape(m.shape[0] * d, -1), rank_tol)
         keep = _policy_keep(res.s, policy)
-        errors.append(low_rank_error(res.s, keep))
+        cuts.append(CutDiagnostics(res.s, keep, low_rank_error(res.s, keep)))
         blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
         m = res.s[:keep, None] * res.vh[:keep]
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
-    return blocks, errors
+    return blocks, tuple(cuts)
 
 
 def _sweep_left(
@@ -300,6 +343,48 @@ def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
     return _chain(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
 
 
+def decompose(
+    t: DenseTensor,
+    form: str,
+    center: int | None = None,
+    policy: TruncationPolicy | None = None,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> tuple[MatrixProductState, tuple[CutDiagnostics, ...]]:
+    """MPS of ``t`` in ``form`` (left, right, mixed or vidal), with the
+    dense sweep's record of each of its N-1 cuts.
+
+    ``center`` (2..N-1, N >= 3) is required for, and only accepted with,
+    the mixed form. ``policy`` truncates each cut as the sweep reaches
+    it, left to right, so the records' discarded weights add in
+    quadrature to the distance between ``t`` and the returned state.
+    """
+    if form == "mixed":
+        n_sites = t.ndim
+        if center is None or n_sites < 3 or not 2 <= center <= n_sites - 1:
+            raise CenterOutOfRange(
+                f"center must be in 2..{max(n_sites - 1, 2)} with N >= 3, got {center}"
+            )
+    elif form not in ("left", "right", "vidal"):
+        raise ValueError(f"form must be left, right, mixed or vidal, got {form!r}")
+    elif center is not None:
+        raise ValueError(f"a center applies only to the mixed form, not {form!r}")
+    blocks, cuts = _dense_sweep(t, policy, rank_tol)
+    if form == "left":
+        return _chain(blocks, "left"), cuts
+    if form == "right":
+        _sweep_left(blocks, 0, None, rank_tol)
+        return _chain(blocks, "right"), cuts
+    if form == "vidal":
+        return _vidal(blocks, rank_tol), cuts
+    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1][0]
+    # The last step absorbed U S into the center site; U alone keeps it
+    # left-normalized.
+    blocks[center - 1] = blocks[center - 1] / weights
+    bonds: list[BondSpectrum | None] = [None] * (t.ndim - 1)
+    bonds[center - 1] = BondSpectrum(weights)
+    return _chain(blocks, "mixed", tuple(bonds), center), cuts
+
+
 def from_dense_right_canonical(
     t: DenseTensor,
     policy: TruncationPolicy | None = None,
@@ -307,9 +392,7 @@ def from_dense_right_canonical(
 ) -> MatrixProductState:
     """Right-canonical MPS: sites 2..N right-normalized, site 1 carries
     the residual weights (its squared norm is the squared state norm)."""
-    blocks, _ = _dense_sweep(t, policy, rank_tol)
-    _sweep_left(blocks, 0, None, rank_tol)
-    return _chain(blocks, "right")
+    return decompose(t, "right", None, policy, rank_tol)[0]
 
 
 def from_dense_left_canonical(
@@ -319,8 +402,7 @@ def from_dense_left_canonical(
 ) -> MatrixProductState:
     """Left-canonical MPS: sites 1..N-1 left-normalized, site N carries
     the residual weights."""
-    blocks, _ = _dense_sweep(t, policy, rank_tol)
-    return _chain(blocks, "left")
+    return decompose(t, "left", None, policy, rank_tol)[0]
 
 
 def from_dense_mixed_canonical(
@@ -335,17 +417,7 @@ def from_dense_mixed_canonical(
     right-normalized, and the center bond weights are the Schmidt
     coefficients of the (1..center):(center+1..N) bipartition.
     """
-    n_sites = t.ndim
-    if n_sites < 3 or not 2 <= center <= n_sites - 1:
-        raise CenterOutOfRange(f"center must be in 2..{max(n_sites - 1, 2)} with N >= 3, got {center}")
-    blocks, _ = _dense_sweep(t, policy, rank_tol)
-    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1][0]
-    # The last step absorbed U S into the center site; U alone keeps it
-    # left-normalized.
-    blocks[center - 1] = blocks[center - 1] / weights
-    bonds: list[BondSpectrum | None] = [None] * (n_sites - 1)
-    bonds[center - 1] = BondSpectrum(weights)
-    return _chain(blocks, "mixed", tuple(bonds), center)
+    return decompose(t, "mixed", center, policy, rank_tol)[0]
 
 
 def from_dense_vidal(
@@ -355,8 +427,7 @@ def from_dense_vidal(
 ) -> MatrixProductState:
     """Canonical-form MPS: every bond carries that cut's Schmidt
     coefficients and the site tensors are weight-free."""
-    blocks, _ = _dense_sweep(t, policy, rank_tol)
-    return _vidal(blocks, rank_tol)
+    return decompose(t, "vidal", None, policy, rank_tol)[0]
 
 
 def to_dense(m: MatrixProductState) -> DenseTensor:
@@ -485,6 +556,52 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> VidalReport:
         right_res[n - 2] = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     residuals = tuple(max(l, r) for l, r in zip(left_res, right_res))
     return VidalReport(passed=all(r <= tol for r in residuals), residuals=residuals, tol=tol)
+
+
+def _verify_mixed(m: MatrixProductState, tol: float) -> GaugeReport:
+    """Sites 1..center against the left isometry condition, the rest
+    against the right one; the center bond must carry weights."""
+    residuals = tuple(
+        site_left_residual(site) if n <= m.center else site_right_residual(site)
+        for n, site in enumerate(m.sites, start=1)
+    )
+    spectrum = m.bonds[m.center - 1] if m.bonds is not None else None
+    if spectrum is None:
+        raise FormMismatch("mixed form needs weights on the center bond")
+    worst = max(range(1, m.num_sites + 1), key=lambda n: residuals[n - 1])
+    return GaugeReport(
+        form=f"mixed:{m.center}",
+        residuals=residuals,
+        worst_site=worst,
+        boundary_site=None,
+        boundary_scalar=float(np.sum(spectrum.values**2)),
+        passed=residuals[worst - 1] <= tol,
+        tol=tol,
+    )
+
+
+def verify(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
+    """Check the gauge conditions of the form ``m`` claims, at ``tol``.
+
+    Left and right states go through verify_left_normalized /
+    verify_right_normalized (the boundary site's weight is reported, not
+    checked), Vidal states through verify_vidal, and mixed states site
+    by site around their center. A state tagged ``unknown`` claims
+    nothing to check and raises FormMismatch.
+    """
+    if m.form in ("left", "right"):
+        check = verify_left_normalized if m.form == "left" else verify_right_normalized
+        rep = check(m, tol)
+        return GaugeReport(
+            m.form, rep.residuals, rep.worst_site, rep.boundary_site, rep.boundary_scalar,
+            rep.passed, tol,
+        )
+    if m.form == "vidal":
+        rep = verify_vidal(m, tol)
+        return GaugeReport("vidal", rep.residuals, None, None, None, rep.passed, tol)
+    if m.form == "mixed":
+        return _verify_mixed(m, tol)
+    raise FormMismatch("the state claims no canonical form to verify")
 
 
 def truncate(

@@ -115,7 +115,9 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     u columns / vh rows). Each retained (u column, vh row) pair is
     rotated so the largest-magnitude entry of the u column is real and
     positive, which fixes the output uniquely away from degenerate
-    values.
+    values. Raises ConvergenceFailure when LAPACK does not converge or
+    when a singular value is not finite (a matrix whose norm overflows
+    a double, even if every entry is finite).
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
@@ -128,6 +130,10 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
         u, s, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    if not np.all(np.isfinite(s)):
+        raise ConvergenceFailure(
+            "SVD overflowed: the matrix's singular values exceed the double-precision range"
+        )
     if wide:
         u, vh = vh.T, u.T
     smax = s[0] if s.size else 0.0

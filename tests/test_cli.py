@@ -76,7 +76,35 @@ def test_decompose_with_truncation(tmp_path, capsys):
     )
     assert code == 0
     assert report["bond_dims"] == [1, 1]
-    np.testing.assert_allclose(report["truncation_errors"], [2**-0.5, 2**-0.5], atol=1e-10)
+    # Cut 1 drops one GHZ branch; what remains is a product state, so
+    # cut 2 drops nothing.
+    np.testing.assert_allclose(report["truncation_errors"], [2**-0.5, 0.0], atol=1e-10)
+    distance = np.linalg.norm(to_dense(load_mps(out)).data - ghz_tensor().data)
+    assert np.hypot(*report["truncation_errors"]) == pytest.approx(distance, abs=1e-10)
+    assert distance == pytest.approx(2**-0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("form", ["left", "right", "mixed:4", "vidal"])
+def test_decompose_truncation_errors_add_to_the_distance(tmp_path, capsys, form):
+    rng = np.random.default_rng(37)
+    shape = (3,) * 7
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    src = tmp_path / "t.json"
+    save_tensor(str(src), tensor_new(shape, data))
+    mps_path = str(tmp_path / "m.json")
+    code, report, _ = run_cli(
+        capsys, "decompose", str(src), "--form", form, "--max-bond", "4", "--out", mps_path
+    )
+    assert code == 0
+    errors = report["truncation_errors"]
+    assert len(errors) == 6
+    code, back, _ = run_cli(
+        capsys, "reconstruct", mps_path, "--out", str(tmp_path / "b.json"), "--reference", str(src)
+    )
+    assert code == 0
+    distance = back["residual"] * np.linalg.norm(data)
+    assert float(np.sqrt(np.sum(np.square(errors)))) == pytest.approx(distance, rel=1e-10)
+    assert all(err <= distance for err in errors)
 
 
 def test_decompose_zero_tensor_exit_2(tmp_path, capsys):
@@ -351,6 +379,20 @@ def test_non_finite_tensor_entry_exit_1_without_traceback(tmp_path):
     proc = run_cli_process("decompose", str(src), "--form", "left", "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert "entry 0 is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_overflowing_svd_exit_2_without_traceback(tmp_path):
+    # Every entry is finite, but the matrix norm overflows a double.
+    src = tmp_path / "huge.json"
+    src.write_text('{"version": 1, "shape": [2, 2], "data": [[1e308, 0.0], [1e308, 0.0], '
+                   '[1e308, 0.0], [1e308, 0.0]]}')
+    out = tmp_path / "o.json"
+    proc = run_cli_process("decompose", str(src), "--form", "left", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+    assert "overflow" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

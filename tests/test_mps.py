@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import idmps.mps
 from idmps import (
     BondSpectrum,
     CenterOutOfRange,
@@ -18,6 +19,7 @@ from idmps import (
     apply_site_map,
     bond_spectrum,
     coefficient,
+    decompose,
     entanglement_entropy,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
@@ -32,6 +34,7 @@ from idmps import (
     tensor_norm,
     to_dense,
     truncate,
+    verify,
     verify_left_normalized,
     verify_right_normalized,
     verify_vidal,
@@ -228,6 +231,47 @@ def test_zero_state_rejected():
             build(t)
 
 
+def test_decompose_untruncated_records_are_schmidt_spectra():
+    rng = np.random.default_rng(41)
+    t = random_tensor(rng, (2, 3, 4, 3))
+    for form, center in (("left", None), ("right", None), ("mixed", 2), ("vidal", None)):
+        m, cuts = decompose(t, form, center)
+        assert len(cuts) == 3
+        for cut, record in enumerate(cuts, start=1):
+            ref = schmidt_decompose(t, cut).coefficients
+            np.testing.assert_allclose(record.spectrum, ref, atol=1e-12)
+            assert record.kept == ref.size == m.bond_dims[cut - 1]
+            assert record.discarded == 0.0
+
+
+def test_decompose_rejects_bad_form_and_center():
+    t = ghz_tensor()
+    with pytest.raises(ValueError):
+        decompose(t, "diagonal")
+    with pytest.raises(ValueError):
+        decompose(t, "left", 2)
+    with pytest.raises(CenterOutOfRange):
+        decompose(t, "mixed")
+
+
+@pytest.mark.parametrize(
+    "form, center, calls", [("left", None, 5), ("right", None, 10), ("mixed", 3, 8), ("vidal", None, 10)]
+)
+def test_decompose_runs_only_the_sweep_svds(monkeypatch, form, center, calls):
+    # N = 6: N-1 dense-sweep SVDs, plus one site step per bond moved back.
+    counted = []
+    svd = idmps.mps.svd
+
+    def counting_svd(*args, **kwargs):
+        counted.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(idmps.mps, "svd", counting_svd)
+    t = random_tensor(np.random.default_rng(42), (2,) * 6)
+    decompose(t, form, center, TruncationPolicy(max_bond=3))
+    assert len(counted) == calls
+
+
 def test_single_site_forms():
     t = tensor_new((4,), [1.0, 2.0, 0.0, -1.0])
     for build in (from_dense_left_canonical, from_dense_right_canonical, from_dense_vidal):
@@ -295,6 +339,43 @@ def test_verify_vidal_form_mismatch():
     stripped = MatrixProductState(sites=v.sites, bonds=None, form="vidal")
     with pytest.raises(FormMismatch):
         verify_vidal(stripped)
+
+
+def test_verify_dispatches_on_the_claimed_form():
+    rng = np.random.default_rng(43)
+    t = random_tensor(rng, (2, 3, 3, 2))
+    keys = {
+        "left": ["form", "residuals", "worst_site", "boundary_site", "boundary_scalar", "passed", "tol"],
+        "right": ["form", "residuals", "worst_site", "boundary_site", "boundary_scalar", "passed", "tol"],
+        "mixed:2": ["form", "residuals", "worst_site", "boundary_scalar", "passed", "tol"],
+        "vidal": ["form", "residuals", "passed", "tol"],
+    }
+    states = {
+        "left": from_dense_left_canonical(t),
+        "right": from_dense_right_canonical(t),
+        "mixed:2": from_dense_mixed_canonical(t, 2),
+        "vidal": from_dense_vidal(t),
+    }
+    for tag, m in states.items():
+        rep = verify(m)
+        assert rep.passed and rep.tol == 1e-10, tag
+        assert list(rep.as_dict()) == keys[tag]
+        assert rep.form == tag
+    left = verify(states["left"], 1e-9)
+    assert left.residuals == verify_left_normalized(states["left"], 1e-9).residuals
+    assert verify(states["vidal"]).residuals == verify_vidal(states["vidal"]).residuals
+    mixed = verify(states["mixed:2"])
+    assert mixed.boundary_scalar == pytest.approx(tensor_norm(t) ** 2)
+    assert mixed.residuals[:2] == tuple(site_left_residual(s) for s in states["mixed:2"].sites[:2])
+    assert mixed.residuals[2:] == tuple(site_right_residual(s) for s in states["mixed:2"].sites[2:])
+
+
+def test_verify_rejects_unverifiable_states():
+    m = from_dense_mixed_canonical(ghz_tensor(), 2)
+    with pytest.raises(FormMismatch):
+        verify(MatrixProductState(sites=m.sites, form="mixed", center=2))
+    with pytest.raises(FormMismatch):
+        verify(MatrixProductState(sites=m.sites))
 
 
 def test_verify_vidal_product_state():

@@ -6,17 +6,16 @@ from hypothesis import strategies as st
 
 from idmps import (
     TruncationPolicy,
+    decompose,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
     from_dense_right_canonical,
     from_dense_vidal,
-    site_left_residual,
-    site_right_residual,
+    low_rank_error,
     tensor_new,
     to_dense,
     truncate,
-    verify_left_normalized,
-    verify_right_normalized,
+    verify,
     verify_vidal,
 )
 
@@ -51,17 +50,8 @@ def builders(t):
 
 
 def passes_own_verifier(m) -> bool:
-    if m.form == "left":
-        return verify_left_normalized(m).passed
-    if m.form == "right":
-        return verify_right_normalized(m).passed
-    if m.form == "vidal":
-        return verify_vidal(m).passed
-    residuals = [
-        site_left_residual(site) if n <= m.center else site_right_residual(site)
-        for n, site in enumerate(m.sites, start=1)
-    ]
-    return max(residuals) <= 1e-10
+    """``verify`` at each form's default tolerance (1e-8 for Vidal)."""
+    return verify_vidal(m).passed if m.form == "vidal" else verify(m).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,6 +61,25 @@ def test_truncated_constructions_pass_their_verifier(case):
     t = unit_tensor(shape, seed)
     for name, build in builders(t).items():
         assert passes_own_verifier(build(policy)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_decompose_records_add_to_the_distance(case):
+    shape, policy, seed = case
+    t = unit_tensor(shape, seed)
+    forms = [("left", None), ("right", None), ("vidal", None)]
+    forms += [("mixed", center) for center in range(2, t.ndim)]
+    for form, center in forms:
+        m, cuts = decompose(t, form, center, policy)
+        assert len(cuts) == t.ndim - 1
+        if form != "vidal":
+            assert tuple(cut.kept for cut in cuts) == m.bond_dims, form
+        for cut in cuts:
+            assert cut.discarded == low_rank_error(cut.spectrum, cut.kept)
+        distance = float(np.linalg.norm(t.data - to_dense(m).data))
+        quadrature = float(np.sqrt(sum(cut.discarded**2 for cut in cuts)))
+        assert abs(quadrature - distance) <= 1e-10, (form, center)
 
 
 @settings(max_examples=60, deadline=None)
