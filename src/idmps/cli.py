@@ -42,8 +42,8 @@ def _rank_tol() -> float:
     if raw is None or raw == "":
         return DEFAULT_RANK_TOL
     tol = float(raw)
-    if not tol > 0.0:
-        raise ValueError(f"IDMPS_RANK_TOL must be > 0, got {raw!r}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"IDMPS_RANK_TOL must be in (0, 1), got {raw!r}")
     return tol
 
 
@@ -105,6 +105,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     report = verify(load_mps(args.input), args.tol)
     _emit(report.as_dict())
     return 0 if report.passed else 3

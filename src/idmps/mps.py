@@ -22,9 +22,11 @@ returns the sweep's own record of every cut (``CutDiagnostics``): the
 singular values its SVD found there, how many the policy kept, and the
 weight it discarded. Those discarded weights add in quadrature to the
 distance between the input and the returned state. Truncation of a
-non-canonical state and Schmidt spectra of bonds without stored weights
-use the same site step, so no operation here expands a chain back into
-a dense tensor except ``to_dense`` itself. Without truncation the
+non-canonical state uses the same site step. Schmidt spectra of bonds
+without stored weights need no SVD step: QR gauge moves from both ends
+leave the bond's weight in one small matrix, whose singular values are
+the spectrum. No operation here expands a chain back into a dense
+tensor except ``to_dense`` itself. Without truncation the
 constructions reproduce the input to working precision, and the
 bond->Schmidt identifications hold at every cut. ``verify`` checks
 whichever gauge a state's form tag claims.
@@ -46,7 +48,7 @@ from .errors import (
     ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, low_rank_error, svd, tensor_new
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 
@@ -109,7 +111,7 @@ class TruncationPolicy:
             raise PolicyEmpty("set max_bond and/or weight_tol")
         if self.max_bond is not None and self.max_bond < 1:
             raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
-        if self.weight_tol is not None and self.weight_tol < 0.0:
+        if self.weight_tol is not None and not self.weight_tol >= 0.0:
             raise ValueError(f"weight_tol must be >= 0, got {self.weight_tol}")
 
 
@@ -359,10 +361,9 @@ def decompose(
     quadrature to the distance between ``t`` and the returned state.
     """
     if form == "mixed":
-        n_sites = t.ndim
-        if center is None or n_sites < 3 or not 2 <= center <= n_sites - 1:
+        if center is None or t.ndim < 3 or not 2 <= center <= t.ndim - 1:
             raise CenterOutOfRange(
-                f"center must be in 2..{max(n_sites - 1, 2)} with N >= 3, got {center}"
+                f"center must be in 2..{max(t.ndim - 1, 2)} with N >= 3, got {center}"
             )
     elif form not in ("left", "right", "vidal"):
         raise ValueError(f"form must be left, right, mixed or vidal, got {form!r}")
@@ -460,6 +461,16 @@ def _transfer(env: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block.reshape(-1, right).conj().T @ np.matmul(env, block).reshape(-1, right)
 
 
+def _gram_residuals(blocks: list[np.ndarray]) -> list[float]:
+    """Deviation from the identity of the left environment carried
+    across each of blocks 1..N-1."""
+    env, out = np.ones((1, 1), dtype=complex), []
+    for g in blocks[:-1]:
+        env = _transfer(env, g)
+        out.append(float(np.max(np.abs(env - np.eye(env.shape[0])))))
+    return out
+
+
 def state_norm(m: MatrixProductState) -> float:
     """Euclidean norm of the state, from the chain contracted with its
     conjugate site by site (the dense tensor is never built)."""
@@ -476,25 +487,17 @@ def _normalization_report(
     tol: float,
     assume_normalized: bool,
 ) -> NormalizationReport:
-    n_sites = m.num_sites
     scalar = float(np.sum(np.abs(m.sites[boundary_site - 1].data) ** 2))
-    residuals = []
-    for n in range(1, n_sites + 1):
-        if n == boundary_site:
-            residuals.append(abs(scalar - 1.0))
-        else:
-            residuals.append(residual_of(m.sites[n - 1]))
-    counted = [n for n in range(1, n_sites + 1) if n != boundary_site]
-    if assume_normalized:
-        counted.append(boundary_site)
-    if counted:
-        worst = max(counted, key=lambda n: residuals[n - 1])
-        passed = residuals[worst - 1] <= tol
-    else:
-        worst = boundary_site
-        passed = True
+    residuals = tuple(
+        abs(scalar - 1.0) if n == boundary_site else residual_of(site)
+        for n, site in enumerate(m.sites, start=1)
+    )
+    counted = [n for n in range(1, m.num_sites + 1) if n != boundary_site]
+    counted += [boundary_site] if assume_normalized else []
+    worst = max(counted, key=lambda n: residuals[n - 1], default=boundary_site)
+    passed = not counted or residuals[worst - 1] <= tol
     return NormalizationReport(
-        residuals=tuple(residuals),
+        residuals=residuals,
         worst_site=worst,
         passed=passed,
         boundary_site=boundary_site,
@@ -536,25 +539,13 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> VidalReport:
         raise FormMismatch(f"expected a vidal-form state, got {m.form!r}")
     if m.bonds is None or any(b is None for b in m.bonds):
         raise FormMismatch("vidal form needs a weight vector on every bond")
-    n_sites = m.num_sites
-    if n_sites == 1:
-        return VidalReport(passed=True, residuals=(), tol=tol)
+    sites = [site.as_array() for site in m.sites]
     lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
-    left_res = [0.0] * (n_sites - 1)
-    gram = np.ones((1, 1), dtype=complex)
-    for n in range(1, n_sites):
-        g = m.sites[n - 1].as_array()
-        w = g if n == 1 else g * lams[n - 2][None, :, None]
-        gram = _transfer(gram, w)
-        left_res[n - 1] = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    right_res = [0.0] * (n_sites - 1)
-    gram = np.ones((1, 1), dtype=complex)
-    for n in range(n_sites, 1, -1):
-        g = m.sites[n - 1].as_array()
-        w = g if n == n_sites else g * lams[n - 1][None, None, :]
-        gram = _transfer(gram, w.transpose(0, 2, 1))
-        right_res[n - 2] = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    residuals = tuple(max(l, r) for l, r in zip(left_res, right_res))
+    left = sites[:1] + [g * lam[None, :, None] for g, lam in zip(sites[1:], lams)]
+    right = [g * lam[None, None, :] for g, lam in zip(sites, lams)] + sites[-1:]
+    residuals = tuple(
+        max(l, r) for l, r in zip(_gram_residuals(left), _gram_residuals(_mirror(right))[::-1])
+    )
     return VidalReport(passed=all(r <= tol for r in residuals), residuals=residuals, tol=tol)
 
 
@@ -590,12 +581,9 @@ def verify(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
     nothing to check and raises FormMismatch.
     """
     if m.form in ("left", "right"):
-        check = verify_left_normalized if m.form == "left" else verify_right_normalized
-        rep = check(m, tol)
-        return GaugeReport(
-            m.form, rep.residuals, rep.worst_site, rep.boundary_site, rep.boundary_scalar,
-            rep.passed, tol,
-        )
+        rep = (verify_left_normalized if m.form == "left" else verify_right_normalized)(m, tol)
+        fields = (rep.residuals, rep.worst_site, rep.boundary_site, rep.boundary_scalar)
+        return GaugeReport(m.form, *fields, rep.passed, tol)
     if m.form == "vidal":
         rep = verify_vidal(m, tol)
         return GaugeReport("vidal", rep.residuals, None, None, None, rep.passed, tol)
@@ -645,13 +633,24 @@ def truncate(
     return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
 
 
+def _qr_weight(blocks: list[np.ndarray]) -> np.ndarray:
+    """R of a left-normalizing QR sweep that carries each step's R into
+    the next block: the chain is a left isometry times this matrix."""
+    r = np.ones((1, 1), dtype=complex)
+    for g in blocks:
+        g = np.matmul(r, g)
+        r = np.linalg.qr(g.reshape(-1, g.shape[2]), mode="r")
+    return r
+
+
 def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     """Schmidt coefficients across bond ``cut`` (1..N-1).
 
     Uses the stored weights when the form provides them at that cut.
-    Otherwise two site sweeps re-derive them: one right-normalizes the
-    sites after the cut, the other left-normalizes the sites before it,
-    and its last step's singular values are the coefficients.
+    Otherwise QR sweeps left-normalize the sites before the cut and,
+    over the mirror, right-normalize those after it; the singular values
+    of the bond matrix left between them, rank-cut as ``svd`` cuts, are
+    the coefficients.
     """
     if not 1 <= cut <= m.num_sites - 1:
         raise CutOutOfRange(f"cut must be in 1..{m.num_sites - 1}, got {cut}")
@@ -659,8 +658,11 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
     blocks = _blocks(m)
-    _sweep_left(blocks, cut - 1)
-    return BondSpectrum(_sweep_left(_mirror(blocks), m.num_sites - 1 - cut)[-1][0])
+    weight = _qr_weight(blocks[:cut]) @ _qr_weight(_mirror(blocks[cut:])).T
+    s, rank = _lapack_svd(weight, False, DEFAULT_RANK_TOL)
+    if rank == 0:
+        raise ZeroState("the state is zero")
+    return BondSpectrum(s[:rank])
 
 
 def entanglement_entropy(m: MatrixProductState, cut: int) -> float:
@@ -696,8 +698,9 @@ def coefficient(m: MatrixProductState, indices) -> complex:
         if not 0 <= int(k) < site.phys_dim:
             raise IndexOutOfRange(f"physical index {k} outside 0..{site.phys_dim - 1} at site {n}")
     v = np.ones(1, dtype=complex)
-    for n in range(m.num_sites, 0, -1):
-        if n < m.num_sites and m.bonds is not None and m.bonds[n - 1] is not None:
-            v = m.bonds[n - 1].values * v
-        v = apply_site_map(m, n, v, int(idx[n - 1]))
+    for n in range(m.num_sites - 1, -1, -1):
+        if m.bonds is not None and n < len(m.bonds) and m.bonds[n] is not None:
+            v = m.bonds[n].values * v
+        site = m.sites[n]
+        v = np.dot(site.data.reshape(site.phys_dim, site.left_dim, site.right_dim)[int(idx[n])], v)
     return complex(v[0])

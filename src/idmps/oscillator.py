@@ -63,8 +63,10 @@ class OscillatorParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if not self.omega_tilde > 0.0:
-            raise ValueError(f"omega_tilde must be > 0, got {self.omega_tilde}")
+        if not 0.0 < self.omega_tilde < float("inf"):
+            raise ValueError(f"omega_tilde must be finite and > 0, got {self.omega_tilde}")
+        if not np.all(np.isfinite([self.theta, self.phi, self.varphi])):
+            raise ValueError(f"angles must be finite, got {(self.theta, self.phi, self.varphi)}")
         if self.phys_cutoff < self.n + 1:
             raise ValueError(
                 f"phys_cutoff must be >= n+1 = {self.n + 1}, got {self.phys_cutoff}"
@@ -103,14 +105,8 @@ def hermite(j: int, x):
     H_{j+1} = 2x H_j - 2j H_{j-1}. Accepts scalars or arrays."""
     if not 0 <= j <= MAX_HERMITE_DEGREE:
         raise DegreeTooLarge(f"degree must be in 0..{MAX_HERMITE_DEGREE}, got {j}")
-    arr = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(arr)
-    if j == 0:
-        return h_prev if arr.ndim else float(h_prev)
-    h = 2.0 * arr
-    for m in range(1, j):
-        h, h_prev = 2.0 * arr * h - 2.0 * m * h_prev, h
-    return h if arr.ndim else float(h)
+    h = _hermite_extended(j, np.asarray(x, dtype=float))
+    return h if np.ndim(h) else float(h)
 
 
 def _f_values(k_max: int, x) -> np.ndarray:
@@ -261,27 +257,25 @@ def integral_I_quadrature(
     return float(total / scale)
 
 
-def _check_lane(idx: int, n: int, name: str) -> None:
-    if not 0 <= idx <= n:
-        raise IndexOutOfRange(f"{name} must be in 0..{n}, got {idx}")
+def _binomial_weight(k: int, params: OscillatorParams, mode: int, name: str) -> float:
+    """Binomial weight of k of the n quanta in ``mode`` (0-based)."""
+    if not 0 <= k <= params.n:
+        raise IndexOutOfRange(f"{name} must be in 0..{params.n}, got {k}")
+    u = direction_cosines(params)[mode]
+    p = u * u
+    return comb(params.n, k) * p**k * (1.0 - p) ** (params.n - k)
 
 
 def alpha(a: int, params: OscillatorParams) -> float:
     """Squared Schmidt coefficient across the (1):(2,3) cut: the
     binomial weight of putting a quanta into mode 1."""
-    _check_lane(a, params.n, "a")
-    u1, _, _ = direction_cosines(params)
-    p = u1 * u1
-    return comb(params.n, a) * p**a * (1.0 - p) ** (params.n - a)
+    return _binomial_weight(a, params, 0, "a")
 
 
 def gamma(b: int, params: OscillatorParams) -> float:
     """Squared Schmidt coefficient across the (1,2):(3) cut: the
     binomial weight of putting b quanta into mode 3."""
-    _check_lane(b, params.n, "b")
-    _, _, u3 = direction_cosines(params)
-    p = u3 * u3
-    return comb(params.n, b) * p**b * (1.0 - p) ** (params.n - b)
+    return _binomial_weight(b, params, 2, "b")
 
 
 def _overlap_table(d: int, n_lanes: int, w: float) -> np.ndarray:
@@ -373,30 +367,24 @@ def wavefunction_direct(
     """
     n, w = params.n, params.omega_tilde
     u1, u2, u3 = direction_cosines(params)
-    p1 = _scaled_f(n, x1, w)
-    p2 = _scaled_f(n, x2, w)
-    p3 = _scaled_f(n, x3, w)
-    total = 0.0
+    p1, p2, p3 = (_scaled_f(n, x, w) for x in (x1, x2, x3))
+    # (outer, first inner, last inner) modes: the Schmidt sum runs over
+    # the outer mode's occupation, the inner sum over the first mode's.
     if route == "alpha":
-        nu1 = sqrt(max(1.0 - u1 * u1, 0.0))
-        c2, c3 = (u2 / nu1, u3 / nu1) if nu1 > 1e-150 else (0.0, 0.0)
-        for a in range(n + 1):
-            inner = sum(
-                sqrt(comb(n - a, l)) * c2**l * c3 ** (n - a - l) * p2[l] * p3[n - a - l]
-                for l in range(n - a + 1)
-            )
-            total += sqrt(comb(n, a)) * u1**a * nu1 ** (n - a) * p1[a] * inner
+        (uo, po), (uf, pf), (ul, pl) = (u1, p1), (u2, p2), (u3, p3)
     elif route == "gamma":
-        nu3 = sqrt(max(1.0 - u3 * u3, 0.0))
-        c1, c2 = (u1 / nu3, u2 / nu3) if nu3 > 1e-150 else (0.0, 0.0)
-        for b in range(n + 1):
-            inner = sum(
-                sqrt(comb(n - b, a)) * c1**a * c2 ** (n - b - a) * p1[a] * p2[n - b - a]
-                for a in range(n - b + 1)
-            )
-            total += sqrt(comb(n, b)) * u3**b * nu3 ** (n - b) * p3[b] * inner
+        (uo, po), (uf, pf), (ul, pl) = (u3, p3), (u1, p1), (u2, p2)
     else:
         raise ValueError(f"route must be 'alpha' or 'gamma', got {route!r}")
+    nu = sqrt(max(1.0 - uo * uo, 0.0))
+    cf, cl = (uf / nu, ul / nu) if nu > 1e-150 else (0.0, 0.0)
+    total = 0.0
+    for a in range(n + 1):
+        inner = sum(
+            sqrt(comb(n - a, l)) * cf**l * cl ** (n - a - l) * pf[l] * pl[n - a - l]
+            for l in range(n - a + 1)
+        )
+        total += sqrt(comb(n, a)) * uo**a * nu ** (n - a) * po[a] * inner
     return float(total)
 
 

@@ -108,6 +108,21 @@ def dematricize(m: np.ndarray, shape: Sequence[int], cut: int) -> DenseTensor:
     return DenseTensor(shape=dims, data=np.array(m, dtype=complex).reshape(-1))
 
 
+def _lapack_svd(a: np.ndarray, compute_uv: bool, rank_tol: float):
+    """numpy's thin SVD of ``a`` and the number of values above
+    ``rank_tol * s_max``; failure and overflow raise ConvergenceFailure."""
+    try:
+        res = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    s = res.S if compute_uv else res
+    if not np.all(np.isfinite(s)):
+        raise ConvergenceFailure(
+            "SVD overflowed: the matrix's singular values exceed the double-precision range"
+        )
+    return res, int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+
+
 def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     """Thin SVD with rank cut and a deterministic phase gauge.
 
@@ -126,24 +141,15 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     # fast as a wide one, so a wide matrix is factored as its transpose
     # A^T = Vh^T S U^T.
     wide = a.shape[0] < a.shape[1]
-    try:
-        u, s, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    if not np.all(np.isfinite(s)):
-        raise ConvergenceFailure(
-            "SVD overflowed: the matrix's singular values exceed the double-precision range"
-        )
+    (u, s, vh), rank = _lapack_svd(a.T if wide else a, True, rank_tol)
     if wide:
         u, vh = vh.T, u.T
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
     u, s, vh = u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy()
-    for k in range(rank):
-        pivot = u[np.argmax(np.abs(u[:, k])), k]
-        phase = pivot / abs(pivot)
-        u[:, k] *= phase.conjugate()
-        vh[k] *= phase
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(rank)]
+    # hypot, unlike np.abs on an array, rounds exactly as the scalar abs.
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    u *= phase.conjugate()
+    vh *= phase[:, None]
     return SvdResult(u=u, s=s, vh=vh, rank=rank)
 
 

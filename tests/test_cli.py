@@ -430,6 +430,52 @@ def test_rank_tolerance_env_invalid_exit_1(tmp_path, capsys, monkeypatch):
     assert err.strip()
 
 
+@pytest.mark.parametrize("raw", ["inf", "1", "2.5", "nan", "0"])
+def test_rank_tolerance_env_outside_the_unit_interval_exit_1(tmp_path, capsys, monkeypatch, raw):
+    src = write_ghz(tmp_path)
+    monkeypatch.setenv("IDMPS_RANK_TOL", raw)
+    out = tmp_path / "o.json"
+    code, report, err = run_cli(capsys, "decompose", src, "--form", "left", "--out", str(out))
+    assert code == 1 and report is None
+    assert "IDMPS_RANK_TOL must be in (0, 1)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+def test_verify_rejects_nan_and_negative_tolerance(tmp_path, capsys, tol):
+    mps_path = tmp_path / "m.json"
+    assert run_cli(capsys, "decompose", write_ghz(tmp_path), "--form", "left",
+                   "--out", str(mps_path))[0] == 0
+    code, report, err = run_cli(capsys, "verify", str(mps_path), f"--tol={tol}")
+    assert code == 1 and report is None
+    assert "--tol must be >= 0" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.5"])
+def test_decompose_rejects_nan_and_negative_weight_tol(tmp_path, capsys, tol):
+    out = tmp_path / "o.json"
+    code, report, err = run_cli(capsys, "decompose", write_ghz(tmp_path), "--form", "vidal",
+                                f"--weight-tol={tol}", "--out", str(out))
+    assert code == 1 and report is None
+    assert "weight_tol must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--omega-tilde", "inf"), ("--theta", "nan"), ("--phi", "inf"), ("--varphi", "-inf")]
+)
+def test_oscillator_non_finite_parameters_exit_1_without_traceback(tmp_path, flag, value):
+    args = {"--n": "2", "--omega-tilde": "1.3", "--phys-cutoff": "4", flag: value}
+    out = tmp_path / "x.json"
+    argv = [f"{key}={val}" for key, val in args.items()]
+    proc = run_cli_process("oscillator", *argv, "--out-mps", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_tensor_file_round_trip_is_bit_stable(tmp_path, capsys):
     rng = np.random.default_rng(55)
     data = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))

@@ -516,6 +516,33 @@ def test_bond_spectrum_matches_schmidt_for_all_forms():
             )
 
 
+def test_bond_spectrum_without_stored_weights_runs_no_svd(monkeypatch):
+    counted = []
+    svd = idmps.mps.svd
+
+    def counting_svd(*args, **kwargs):
+        counted.append(1)
+        return svd(*args, **kwargs)
+
+    t = random_tensor(np.random.default_rng(47), (2, 3, 2, 3, 2))
+    states = [decompose(t, form, center)[0] for form, center in
+              [("left", None), ("right", None), ("mixed", 2), ("mixed", 3)]]
+    states.append(MatrixProductState(sites=states[0].sites))  # the unknown form
+    monkeypatch.setattr(idmps.mps, "svd", counting_svd)
+    for m in states:
+        for cut in range(1, 5):
+            if m.form == "mixed" and cut == m.center:
+                continue  # the stored center weights
+            bond_spectrum(m, cut)
+    assert counted == []
+
+
+def test_bond_spectrum_of_a_zero_chain_raises():
+    site = SiteTensor(2, 1, 1, np.zeros(2, dtype=complex))
+    with pytest.raises(ZeroState):
+        bond_spectrum(MatrixProductState(sites=(site, site)), 1)
+
+
 # ----------------------------------------------------- coefficient evaluation
 
 
@@ -532,6 +559,14 @@ def test_coefficient_index_validation():
         coefficient(m, (0, 0))
     with pytest.raises(IndexOutOfRange):
         coefficient(m, (0, 2, 0))
+
+
+def test_coefficient_names_the_leftmost_bad_index():
+    m = from_dense_right_canonical(ghz_tensor())
+    with pytest.raises(IndexOutOfRange, match=r"index 5 outside 0\.\.1 at site 2$"):
+        coefficient(m, (0, 5, 7))
+    with pytest.raises(IndexOutOfRange, match=r"index -1 outside 0\.\.1 at site 1$"):
+        coefficient(m, (-1, 9, 2))
 
 
 def test_apply_site_map_identity_and_zero_slices():

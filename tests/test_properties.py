@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idmps import (
+    MatrixProductState,
+    SiteTensor,
     TruncationPolicy,
+    bond_spectrum,
     decompose,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
     from_dense_right_canonical,
     from_dense_vidal,
     low_rank_error,
+    schmidt_decompose,
     tensor_new,
     to_dense,
     truncate,
@@ -110,3 +114,54 @@ def test_constructions_are_bit_reproducible(case):
         for a, b in zip(first.bonds or (), second.bonds or ()):
             assert (a is None) == (b is None), name
             assert a is None or a.values.tobytes() == b.values.tobytes(), name
+
+
+def spectrum_state(shape, kind, scale, seed):
+    """An unnormalized random, GHZ-like or product tensor."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        data = unit_tensor(shape, seed).data
+    elif kind == "ghz":
+        data = np.zeros(shape, dtype=complex)
+        for k in range(min(shape)):
+            data[(k,) * len(shape)] = rng.standard_normal() + 1j
+    else:
+        data = np.ones(1, dtype=complex)
+        for d in shape:
+            data = np.kron(data, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return tensor_new(shape, scale * data.reshape(-1))
+
+
+def unknown_chain(shape, seed):
+    """Random sites with random bond dimensions: a chain in no gauge."""
+    rng = np.random.default_rng(seed)
+    dims = [1] + [int(x) for x in rng.integers(1, 6, size=len(shape) - 1)] + [1]
+    sites = []
+    for d, left, right in zip(shape, dims, dims[1:]):
+        size = d * left * right
+        data = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        sites.append(SiteTensor(d, left, right, data))
+    return MatrixProductState(sites=tuple(sites))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes,
+    st.sampled_from(["random", "ghz", "product"]),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_bond_spectra_match_the_dense_schmidt_values(shape, kind, scale, seed):
+    t = spectrum_state(shape, kind, scale, seed)
+    chains = [decompose(t, form, None)[0] for form in ("left", "right")]
+    chains += [decompose(t, "mixed", center)[0] for center in range(2, t.ndim)]
+    chains.append(MatrixProductState(sites=chains[0].sites))
+    chains.append(unknown_chain(shape, seed))
+    for m in chains:
+        dense = to_dense(m)
+        bound = 1e-12 * float(np.linalg.norm(dense.data))
+        for cut in range(1, t.ndim):
+            got = bond_spectrum(m, cut).values
+            want = schmidt_decompose(dense, cut).coefficients
+            assert got.shape == want.shape, (m.form, cut)
+            assert np.max(np.abs(got - want)) <= bound, (m.form, cut)

@@ -135,6 +135,53 @@ def test_svd_phase_gauge_deterministic():
         assert abs(pivot.imag) < 1e-14 and pivot.real > 0
 
 
+def looped_gauge_svd(m, rank_tol=1e-12):
+    """svd's factorization with the phase gauge applied column by column:
+    the reference the vectorized gauge must reproduce bit for bit."""
+    wide = m.shape[0] < m.shape[1]
+    u, s, vh = np.linalg.svd(m.T if wide else m, full_matrices=False)
+    if wide:
+        u, vh = vh.T, u.T
+    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+    u, s, vh = u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy()
+    for k in range(rank):
+        pivot = u[np.argmax(np.abs(u[:, k])), k]
+        phase = pivot / abs(pivot)
+        u[:, k] *= phase.conjugate()
+        vh[k] *= phase
+    return u, s, vh
+
+
+def _complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def gauge_cases():
+    rng = np.random.default_rng(16)
+    yield "tall", _complex(rng, 9, 4)
+    yield "wide", _complex(rng, 3, 11)
+    yield "rank2-tall", _complex(rng, 8, 2) @ _complex(rng, 2, 6)
+    yield "rank3-wide", _complex(rng, 5, 3) @ _complex(rng, 3, 12)
+    yield "rank0", np.zeros((3, 4), dtype=complex)
+    # Tied magnitudes: every entry of the DFT and Hadamard vectors has the
+    # same modulus, and small-integer entries repeat moduli exactly.
+    yield "dft", np.fft.fft(np.eye(6)).astype(complex)
+    yield "hadamard", np.kron([[1, 1], [1, -1]], [[1, 1j], [1j, 1]]).astype(complex)
+    yield "integers", np.round(2 * _complex(rng, 7, 5))
+    yield "repeated-columns", np.repeat(np.round(_complex(rng, 6, 2)), 3, axis=1)
+    for k in range(20):
+        rows, cols = rng.integers(1, 16, size=2)
+        yield f"random-{k}", _complex(rng, rows, cols)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in gauge_cases()])
+def test_svd_gauge_matches_the_column_loop_bit_for_bit(m):
+    u, s, vh = looped_gauge_svd(m)
+    res = svd(m)
+    assert res.rank == s.size
+    assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.vh, vh)
+
+
 def test_svd_rejects_empty():
     with pytest.raises(ShapeMismatch):
         svd(np.zeros((0, 3)))
