@@ -29,10 +29,8 @@ from .mps import (
     CutDiagnostics,
     GaugeReport,
     MatrixProductState,
-    NormalizationReport,
     SiteTensor,
     TruncationPolicy,
-    VidalReport,
     apply_site_map,
     bond_spectrum,
     coefficient,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, FormMismatch, IdmpsError, ZeroState
 from .io import load_mps, load_tensor, save_mps, save_tensor
-from .mps import TruncationPolicy, decompose, state_norm, to_dense, verify
+from .mps import TruncationPolicy, decompose, parse_form_tag, state_norm, to_dense, verify
 from .oscillator import OscillatorParams, _decay_columns, build_bundle
 from .tensor import DEFAULT_RANK_TOL, tensor_norm
 
@@ -51,20 +51,9 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _parse_form(tag: str) -> tuple[str, int | None]:
-    if tag in ("left", "right", "vidal"):
-        return tag, None
-    if tag.startswith("mixed:"):
-        try:
-            return "mixed", int(tag.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad form {tag!r}: expected mixed:<center>") from None
-    raise ValueError(f"form must be left, right, mixed:<n> or vidal, got {tag!r}")
-
-
 def cmd_decompose(args) -> int:
     t = load_tensor(args.input)
-    form, center = _parse_form(args.form)
+    form, center = parse_form_tag(args.form)
     policy = None
     if args.max_bond is not None or args.weight_tol is not None:
         policy = TruncationPolicy(max_bond=args.max_bond, weight_tol=args.weight_tol)

@@ -9,10 +9,12 @@ Two document kinds, both version 1:
   the same [re, im] encoding in the site's flat order, and "bonds" is
   null or a list (one entry per bond) of weight lists / nulls.
 
-The mixed form serializes its center into the tag ("mixed:<n>"). All
-floats go through Python's shortest round-trip repr via the json module,
-so write->read is bit-stable. Every payload entry must be finite: NaN,
-infinities and numbers beyond the float range are rejected on load.
+"form" holds the state's form tag ("mixed:<n>" carries the center),
+which ``idmps.mps`` owns: ``MatrixProductState.tag`` writes it and
+``parse_form_tag`` reads it. All floats go through Python's shortest
+round-trip repr via the json module, so write->read is bit-stable.
+Every payload entry must be finite: NaN, infinities and numbers beyond
+the float range are rejected on load.
 
 The writers stream each document: a fixed skeleton with json.dump's key
 order and separators, and each [re, im] payload in chunks through the C
@@ -28,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FileFormatError
-from .mps import BondSpectrum, MatrixProductState, SiteTensor
+from .mps import BondSpectrum, MatrixProductState, SiteTensor, parse_form_tag
 from .tensor import DenseTensor, tensor_new
 
 FILE_VERSION = 1
@@ -133,29 +135,9 @@ def load_tensor(path: str) -> DenseTensor:
     return tensor_new(tuple(shape), data)
 
 
-def _form_to_tag(m: MatrixProductState) -> str:
-    if m.form == "mixed":
-        return f"mixed:{m.center}"
-    return m.form
-
-
-def _tag_to_form(tag, path: str) -> tuple[str, int | None]:
-    if not isinstance(tag, str):
-        raise FileFormatError(f"mps file {path!r}: form must be a string")
-    if tag in ("left", "right", "vidal", "unknown"):
-        return tag, None
-    if tag.startswith("mixed:"):
-        try:
-            center = int(tag.split(":", 1)[1])
-        except ValueError:
-            raise FileFormatError(f"mps file {path!r}: bad mixed tag {tag!r}") from None
-        return "mixed", center
-    raise FileFormatError(f"mps file {path!r}: unknown form tag {tag!r}")
-
-
 def save_mps(path: str, m: MatrixProductState) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"version": {FILE_VERSION}, "form": {json.dumps(_form_to_tag(m))}, "sites": [')
+        fh.write(f'{{"version": {FILE_VERSION}, "form": {json.dumps(m.tag)}, "sites": [')
         for n, s in enumerate(m.sites):
             fh.write(
                 f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
@@ -171,7 +153,10 @@ def save_mps(path: str, m: MatrixProductState) -> None:
 
 def load_mps(path: str) -> MatrixProductState:
     doc = _load_document(path, "mps file")
-    form, center = _tag_to_form(doc.get("form"), path)
+    try:
+        form, center = parse_form_tag(doc.get("form"))
+    except ValueError as exc:
+        raise FileFormatError(f"mps file {path!r}: {exc}") from exc
     raw_sites = doc.get("sites")
     if not isinstance(raw_sites, list) or not raw_sites:
         raise FileFormatError(f"mps file {path!r}: sites must be a nonempty list")

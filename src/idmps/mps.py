@@ -29,7 +29,12 @@ the spectrum. No operation here expands a chain back into a dense
 tensor except ``to_dense`` itself. Without truncation the
 constructions reproduce the input to working precision, and the
 bond->Schmidt identifications hold at every cut. ``verify`` checks
-whichever gauge a state's form tag claims.
+whichever gauge a state's form tag claims; every check compares a Gram
+contraction with the identity and returns one ``GaugeReport``.
+
+This module owns the form tag: ``MatrixProductState.tag`` writes it
+(``mixed:<center>`` for a mixed state) and ``parse_form_tag`` reads it,
+for the CLI's ``--form`` and for MPS files alike.
 """
 
 from dataclasses import dataclass
@@ -94,6 +99,8 @@ class BondSpectrum:
             raise ValueError("bond spectrum must be nonempty and strictly positive")
         if np.any(np.diff(vals) > 0.0):
             raise ValueError("bond spectrum must be nonincreasing")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("bond spectrum must be finite")
         object.__setattr__(self, "values", vals)
 
 
@@ -173,44 +180,36 @@ class MatrixProductState:
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(s.right_dim for s in self.sites[:-1])
 
-
-@dataclass(frozen=True)
-class NormalizationReport:
-    """Per-site gauge residuals for one normalization condition.
-
-    ``residuals[n-1]`` is site n's deviation from the isometry condition;
-    for the boundary site (which carries the state's weight instead) the
-    entry is |boundary_scalar - 1| and only counts toward ``passed``
-    when the caller asserted a normalized state. ``boundary_scalar``
-    equals the squared state norm for freshly constructed forms.
-    """
-
-    residuals: tuple[float, ...]
-    worst_site: int
-    passed: bool
-    boundary_site: int
-    boundary_scalar: float
-    tol: float
+    @property
+    def tag(self) -> str:
+        """The form tag: ``mixed:<center>`` for a mixed state, else the form."""
+        return f"mixed:{self.center}" if self.form == "mixed" else self.form
 
 
-@dataclass(frozen=True)
-class VidalReport:
-    """verify_vidal outcome: worst orthonormality residual per cut."""
-
-    passed: bool
-    residuals: tuple[float, ...]
-    tol: float
+def parse_form_tag(tag) -> tuple[str, int | None]:
+    """(form, center) named by a form tag, the inverse of
+    ``MatrixProductState.tag``; ValueError for anything else."""
+    if tag in FORMS and tag != "mixed":
+        return tag, None
+    if isinstance(tag, str) and tag.startswith("mixed:"):
+        try:
+            return "mixed", int(tag[len("mixed:"):])
+        except ValueError:
+            pass
+    raise ValueError(f"form tag must be left, right, mixed:<center>, vidal or unknown, got {tag!r}")
 
 
 @dataclass(frozen=True)
 class GaugeReport:
-    """``verify`` outcome for any claimed canonical form.
+    """Outcome of ``verify`` and of every ``verify_*`` check.
 
-    ``form`` is the form tag (``mixed:<center>`` for mixed states).
-    ``residuals`` are per site, except for the Vidal form, where they are
-    per cut and the three site fields are None. A mixed state has no
-    boundary site: its ``boundary_scalar`` is the squared sum of the
-    center weights.
+    ``form`` is the checked form's tag (``mixed:<center>`` for mixed
+    states). ``residuals`` are per site, except for the Vidal form, where
+    they are per cut and the three site fields are None. A mixed state
+    has no boundary site: its ``boundary_scalar`` is the squared sum of
+    the center weights. ``passed`` means every counted residual is <=
+    ``tol``, so a NaN fails; ``worst_site`` is the first counted site
+    whose residual is NaN or largest.
     """
 
     form: str
@@ -440,93 +439,90 @@ def to_dense(m: MatrixProductState) -> DenseTensor:
     return tensor_new(m.phys_dims, acc.reshape(-1))
 
 
+def _transfer(env: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """sum_k g[k]^+ env g[k] for a (phys, left, right) block g: the left
+    environment ``env`` (None for the identity) carried across one site."""
+    flat = block.reshape(-1, block.shape[2])
+    carried = flat if env is None else np.matmul(env, block).reshape(flat.shape)
+    return flat.conj().T @ carried
+
+
+def _gram_residuals(blocks: list[np.ndarray], chained: bool = False) -> list[float]:
+    """max|sum_k g[k]^+ E g[k] - I| for each block g, where E is the
+    identity or, when ``chained``, the left environment carried across
+    the blocks before g."""
+    env, out = None, []
+    for g in blocks:
+        env = _transfer(env if chained else None, g)
+        out.append(float(np.max(np.abs(env - np.eye(env.shape[0])))))
+    return out
+
+
 def site_left_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k)+ M^(k) from the identity."""
-    flat = site.data.reshape(-1, site.right_dim)
-    gram = flat.conj().T @ flat
-    return float(np.max(np.abs(gram - np.eye(site.right_dim))))
+    return _gram_residuals([site.as_array()])[0]
 
 
 def site_right_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k) M^(k)+ from the identity."""
-    flat = site.as_array().transpose(1, 0, 2).reshape(site.left_dim, -1)
-    gram = flat @ flat.conj().T
-    return float(np.max(np.abs(gram - np.eye(site.left_dim))))
-
-
-def _transfer(env: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """sum_k g[k]^+ env g[k] for a (phys, left, right) block g: the
-    left environment ``env`` carried across one site."""
-    right = block.shape[2]
-    return block.reshape(-1, right).conj().T @ np.matmul(env, block).reshape(-1, right)
-
-
-def _gram_residuals(blocks: list[np.ndarray]) -> list[float]:
-    """Deviation from the identity of the left environment carried
-    across each of blocks 1..N-1."""
-    env, out = np.ones((1, 1), dtype=complex), []
-    for g in blocks[:-1]:
-        env = _transfer(env, g)
-        out.append(float(np.max(np.abs(env - np.eye(env.shape[0])))))
-    return out
+    return _gram_residuals(_mirror([site.as_array()]))[0]
 
 
 def state_norm(m: MatrixProductState) -> float:
     """Euclidean norm of the state, from the chain contracted with its
     conjugate site by site (the dense tensor is never built)."""
-    env = np.ones((1, 1), dtype=complex)
+    env = None
     for block in _blocks(m):
         env = _transfer(env, block)
     return float(np.sqrt(abs(env[0, 0].real)))
 
 
-def _normalization_report(
-    m: MatrixProductState,
-    residual_of,
-    boundary_site: int,
-    tol: float,
-    assume_normalized: bool,
-) -> NormalizationReport:
-    scalar = float(np.sum(np.abs(m.sites[boundary_site - 1].data) ** 2))
+def _isometry_report(
+    m: MatrixProductState, tag: str, left: int, right: int, tol: float, count_boundary: bool = False
+) -> GaugeReport:
+    """Sites 1..``left`` checked as left isometries, sites ``right``+1..N
+    as right isometries. With right = left + 1, site ``right`` is the
+    boundary site: its squared norm is the boundary scalar, and its
+    residual |scalar - 1| counts only when ``count_boundary``. With
+    right = left, the weights on bond ``left`` give the scalar."""
+    if right == left + 1:
+        boundary, scalar = right, float(np.sum(np.abs(m.sites[right - 1].data) ** 2))
+    else:
+        boundary, scalar = None, float(np.sum(m.bonds[left - 1].values ** 2))
     residuals = tuple(
-        abs(scalar - 1.0) if n == boundary_site else residual_of(site)
+        site_left_residual(site) if n <= left
+        else site_right_residual(site) if n > right
+        else abs(scalar - 1.0)
         for n, site in enumerate(m.sites, start=1)
     )
-    counted = [n for n in range(1, m.num_sites + 1) if n != boundary_site]
-    counted += [boundary_site] if assume_normalized else []
-    worst = max(counted, key=lambda n: residuals[n - 1], default=boundary_site)
-    passed = not counted or residuals[worst - 1] <= tol
-    return NormalizationReport(
-        residuals=residuals,
-        worst_site=worst,
-        passed=passed,
-        boundary_site=boundary_site,
-        boundary_scalar=scalar,
-        tol=tol,
-    )
+    counted = [n for n in range(1, m.num_sites + 1) if n != boundary or count_boundary]
+    # argmax picks the first NaN, else the first largest residual.
+    worst = counted[int(np.argmax([residuals[n - 1] for n in counted]))] if counted else boundary
+    passed = all(residuals[n - 1] <= tol for n in counted)
+    return GaugeReport(tag, residuals, worst, boundary, scalar, passed, tol)
 
 
 def verify_left_normalized(
     m: MatrixProductState, tol: float = 1e-10, assume_normalized: bool = False
-) -> NormalizationReport:
+) -> GaugeReport:
     """Check sites 1..N-1 against the left isometry condition.
 
     Site N carries the weights; its squared norm is reported as the
     boundary scalar and compared against 1 only when
     ``assume_normalized`` is set.
     """
-    return _normalization_report(m, site_left_residual, m.num_sites, tol, assume_normalized)
+    return _isometry_report(m, "left", m.num_sites - 1, m.num_sites, tol, assume_normalized)
 
 
 def verify_right_normalized(
     m: MatrixProductState, tol: float = 1e-10, assume_normalized: bool = False
-) -> NormalizationReport:
+) -> GaugeReport:
     """Check sites 2..N against the right isometry condition; site 1
     carries the weights (see verify_left_normalized)."""
-    return _normalization_report(m, site_right_residual, 1, tol, assume_normalized)
+    return _isometry_report(m, "right", 0, 1, tol, assume_normalized)
 
 
-def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> VidalReport:
+def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
     """Verify the canonical-form property cut by cut.
 
     For each cut the weighted chain contractions from both ends must
@@ -543,32 +539,11 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> VidalReport:
     lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
     left = sites[:1] + [g * lam[None, :, None] for g, lam in zip(sites[1:], lams)]
     right = [g * lam[None, None, :] for g, lam in zip(sites, lams)] + sites[-1:]
-    residuals = tuple(
-        max(l, r) for l, r in zip(_gram_residuals(left), _gram_residuals(_mirror(right))[::-1])
+    residuals = np.maximum(  # NaN-propagating, unlike max()
+        _gram_residuals(left[:-1], True), _gram_residuals(_mirror(right)[:-1], True)[::-1]
     )
-    return VidalReport(passed=all(r <= tol for r in residuals), residuals=residuals, tol=tol)
-
-
-def _verify_mixed(m: MatrixProductState, tol: float) -> GaugeReport:
-    """Sites 1..center against the left isometry condition, the rest
-    against the right one; the center bond must carry weights."""
-    residuals = tuple(
-        site_left_residual(site) if n <= m.center else site_right_residual(site)
-        for n, site in enumerate(m.sites, start=1)
-    )
-    spectrum = m.bonds[m.center - 1] if m.bonds is not None else None
-    if spectrum is None:
-        raise FormMismatch("mixed form needs weights on the center bond")
-    worst = max(range(1, m.num_sites + 1), key=lambda n: residuals[n - 1])
-    return GaugeReport(
-        form=f"mixed:{m.center}",
-        residuals=residuals,
-        worst_site=worst,
-        boundary_site=None,
-        boundary_scalar=float(np.sum(spectrum.values**2)),
-        passed=residuals[worst - 1] <= tol,
-        tol=tol,
-    )
+    passed = all(residuals <= tol)
+    return GaugeReport("vidal", tuple(residuals.tolist()), None, None, None, passed, tol)
 
 
 def verify(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
@@ -577,19 +552,17 @@ def verify(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
     Left and right states go through verify_left_normalized /
     verify_right_normalized (the boundary site's weight is reported, not
     checked), Vidal states through verify_vidal, and mixed states site
-    by site around their center. A state tagged ``unknown`` claims
-    nothing to check and raises FormMismatch.
+    by site around their center, which must carry weights. A state
+    tagged ``unknown`` claims nothing to check and raises FormMismatch.
     """
-    if m.form in ("left", "right"):
-        rep = (verify_left_normalized if m.form == "left" else verify_right_normalized)(m, tol)
-        fields = (rep.residuals, rep.worst_site, rep.boundary_site, rep.boundary_scalar)
-        return GaugeReport(m.form, *fields, rep.passed, tol)
-    if m.form == "vidal":
-        rep = verify_vidal(m, tol)
-        return GaugeReport("vidal", rep.residuals, None, None, None, rep.passed, tol)
     if m.form == "mixed":
-        return _verify_mixed(m, tol)
-    raise FormMismatch("the state claims no canonical form to verify")
+        if m.bonds is None or m.bonds[m.center - 1] is None:
+            raise FormMismatch("mixed form needs weights on the center bond")
+        return _isometry_report(m, m.tag, m.center, m.center, tol)
+    checks = dict(left=verify_left_normalized, right=verify_right_normalized, vidal=verify_vidal)
+    if m.form not in checks:
+        raise FormMismatch("the state claims no canonical form to verify")
+    return checks[m.form](m, tol)
 
 
 def truncate(

@@ -533,3 +533,44 @@ def test_unsorted_bond_weights_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(mps_path))
     assert code == 1
     assert err.strip()
+
+
+def test_verify_overflowing_left_site_exit_3_without_traceback(tmp_path, capsys):
+    mps_path = tmp_path / "m.json"
+    run_cli(capsys, "decompose", write_ghz(tmp_path), "--form", "left", "--out", str(mps_path))
+    doc = json.loads(mps_path.read_text())
+    doc["sites"][1]["data"][0] = [1e200, 1e200]  # finite, but its Gram entries overflow
+    mps_path.write_text(json.dumps(doc))
+    proc = run_cli_process("verify", str(mps_path))
+    assert proc.returncode == 3, proc.stdout
+    report = json.loads(proc.stdout)
+    assert report["passed"] is False
+    assert report["worst_site"] == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("form", ["mixed", "mixed:", "mixed:x", "unknown", "Left"])
+def test_decompose_bad_form_tag_exit_1(tmp_path, capsys, form):
+    src = write_ghz(tmp_path)
+    out = tmp_path / "o.json"
+    code, report, err = run_cli(capsys, "decompose", src, "--form", form, "--out", str(out))
+    assert code == 1
+    assert report is None
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", ["mixed:x", "mixed", "sideways", 7, None])
+def test_tampered_form_tag_exit_1(tmp_path, capsys, tag):
+    src = write_ghz(tmp_path)
+    mps_path = tmp_path / "m.json"
+    run_cli(capsys, "decompose", src, "--form", "mixed:2", "--out", str(mps_path))
+    doc = json.loads(mps_path.read_text())
+    assert doc["form"] == "mixed:2"
+    doc["form"] = tag
+    mps_path.write_text(json.dumps(doc))
+    for command in (["verify"], ["reconstruct", "--out", str(tmp_path / "t.json")]):
+        code, report, err = run_cli(capsys, command[0], str(mps_path), *command[1:])
+        assert code == 1, (command, tag)
+        assert report is None
+        assert err.startswith("error:") and "form tag" in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import idmps
 import idmps.mps
 from idmps import (
     BondSpectrum,
@@ -39,6 +40,7 @@ from idmps import (
     verify_right_normalized,
     verify_vidal,
 )
+from idmps.mps import parse_form_tag
 
 
 def random_tensor(rng, shape):
@@ -97,6 +99,12 @@ def test_bond_spectrum_validation():
         BondSpectrum([0.5, 0.7])
     with pytest.raises(ValueError):
         BondSpectrum([0.5, 0.0])
+
+
+def test_bond_spectrum_rejects_non_finite_values():
+    for values in ([np.nan, 0.5], [np.inf, 0.5], [0.5, np.nan], [1.0, -np.inf]):
+        with pytest.raises(ValueError):
+            BondSpectrum(values)
 
 
 def test_truncation_policy_validation():
@@ -310,6 +318,97 @@ def test_verify_zero_site_residual_one():
     rep = verify_left_normalized(MatrixProductState(sites=tuple(sites), form="left"))
     assert rep.residuals[0] == pytest.approx(1.0)
     assert not rep.passed
+
+
+def test_verify_single_site_states():
+    t = tensor_new((3,), 1.5 * np.array([0.6, 0.0, 0.8j]))  # squared norm 2.25
+    for form in ("left", "right"):
+        rep = verify(decompose(t, form)[0])
+        assert rep.boundary_site == rep.worst_site == 1
+        assert rep.boundary_scalar == pytest.approx(2.25)
+        assert rep.residuals == (abs(rep.boundary_scalar - 1.0),)
+        assert rep.passed  # the boundary site is reported, not checked
+    vidal = verify(decompose(t, "vidal")[0])
+    assert vidal.residuals == ()
+    assert vidal.passed
+
+
+def with_site_entry(m, n, value):
+    """``m`` with entry 0 of site n replaced by ``value``."""
+    sites = list(m.sites)
+    s = sites[n - 1]
+    data = s.data.copy()
+    data[0] = value
+    sites[n - 1] = SiteTensor(s.phys_dim, s.left_dim, s.right_dim, data)
+    return MatrixProductState(sites=tuple(sites), bonds=m.bonds, form=m.form, center=m.center)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200 + 1e200j])
+@pytest.mark.parametrize(
+    "form, center, site", [("left", None, 2), ("right", None, 3), ("mixed", 2, 3)]
+)
+def test_verify_fails_a_nan_or_overflowing_residual(form, center, site, value):
+    m = decompose(random_tensor(np.random.default_rng(5), (2, 3, 3, 2)), form, center)[0]
+    # A large finite residual on another site must not hide the NaN.
+    other = 1 if form != "right" else 4
+    bad = with_site_entry(with_site_entry(m, other, 50.0), site, value)
+    with np.errstate(all="ignore"):
+        rep = verify(bad)
+    assert not np.isfinite(rep.residuals[site - 1])  # NaN, or inf after an overflow
+    assert rep.residuals[other - 1] > 100.0
+    assert rep.worst_site == site
+    assert not rep.passed
+
+
+def test_verify_vidal_fails_a_nan_residual():
+    m = from_dense_vidal(random_tensor(np.random.default_rng(6), (2, 3, 3, 2)))
+    for site in (1, 2, 4):
+        with np.errstate(all="ignore"):
+            rep = verify(with_site_entry(m, site, np.nan))
+        assert np.isnan(rep.residuals).any()
+        assert not rep.passed
+
+
+def gram_oracles(site):
+    """The left and right Gram deviations, written out directly."""
+    flat = site.data.reshape(-1, site.right_dim)
+    left = np.max(np.abs(flat.conj().T @ flat - np.eye(site.right_dim)))
+    flat = site.as_array().transpose(1, 0, 2).reshape(site.left_dim, -1)
+    right = np.max(np.abs(flat @ flat.conj().T - np.eye(site.left_dim)))
+    return float(left), float(right)
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 6, 2), None), ((3, 2, 5), None), ((2, 4, 4), 2)])
+def test_site_residuals_match_the_gram_oracle(dims, rank):
+    rng = np.random.default_rng(sum(dims))
+    d, left, right = dims
+    data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    if rank is not None:  # rank-deficient in both unfoldings
+        data = np.einsum("kla,ab->klb", data[:, :, :rank], rng.standard_normal((rank, right)))
+    for scale in (1.0, 1e-3, 1e3):
+        site = SiteTensor(d, left, right, scale * data)
+        want_left, want_right = gram_oracles(site)
+        assert site_left_residual(site) == pytest.approx(want_left, rel=1e-12, abs=1e-15)
+        assert site_right_residual(site) == pytest.approx(want_right, rel=1e-12, abs=1e-15)
+    if d * right >= left:  # room for a right isometry
+        q = np.linalg.qr(rng.standard_normal((d * right, left)))[0]
+        iso = SiteTensor(d, left, right, q.T.reshape(left, d, right).transpose(1, 0, 2))
+        assert site_right_residual(iso) == pytest.approx(gram_oracles(iso)[1], abs=1e-15)
+        assert site_right_residual(iso) <= 1e-14
+
+
+def test_parse_form_tag_round_trips_every_form():
+    t = random_tensor(np.random.default_rng(8), (2, 2, 2, 2))
+    states = [decompose(t, form)[0] for form in ("left", "right", "vidal")]
+    states += [decompose(t, "mixed", c)[0] for c in (2, 3)]
+    states.append(MatrixProductState(sites=states[0].sites))
+    for m in states:
+        assert parse_form_tag(m.tag) == (m.form, m.center)
+    assert [m.tag for m in states] == ["left", "right", "vidal", "mixed:2", "mixed:3", "unknown"]
+    for bad in ("mixed", "mixed:", "mixed:x", "diagonal", "", None, 3, ["left"]):
+        with pytest.raises(ValueError):
+            parse_form_tag(bad)
+    assert "parse_form_tag" not in idmps.__all__
 
 
 def test_verify_vidal_constructed_state():
