@@ -60,7 +60,7 @@ def cmd_decompose(args) -> int:
     m, cuts = decompose(t, form, center, policy, _rank_tol())
     save_mps(args.out, m)
     report = {
-        "form": args.form,
+        "form": m.tag,
         "shape": list(t.shape),
         "bond_dims": list(m.bond_dims),
         "bonds": [cut.spectrum.tolist() for cut in cuts],

@@ -21,8 +21,8 @@ that records every bond's weights. Alongside the state, ``decompose``
 returns the sweep's own record of every cut (``CutDiagnostics``): the
 singular values its SVD found there, how many the policy kept, and the
 weight it discarded. Those discarded weights add in quadrature to the
-distance between the input and the returned state. Truncation of a
-non-canonical state uses the same site step. Schmidt spectra of bonds
+distance between the input and the returned state. Truncation, of
+any form, uses the same site step. Schmidt spectra of bonds
 without stored weights need no SVD step: QR gauge moves from both ends
 leave the bond's weight in one small matrix, whose singular values are
 the spectrum. No operation here expands a chain back into a dense
@@ -37,6 +37,7 @@ This module owns the form tag: ``MatrixProductState.tag`` writes it
 for the CLI's ``--form`` and for MPS files alike.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,15 +188,12 @@ class MatrixProductState:
 
 
 def parse_form_tag(tag) -> tuple[str, int | None]:
-    """(form, center) named by a form tag, the inverse of
-    ``MatrixProductState.tag``; ValueError for anything else."""
+    """(form, center) named by a form tag, the inverse of ``MatrixProductState.tag``
+    (a center is ASCII digits without sign, space or leading zero); else ValueError."""
     if tag in FORMS and tag != "mixed":
         return tag, None
-    if isinstance(tag, str) and tag.startswith("mixed:"):
-        try:
-            return "mixed", int(tag[len("mixed:"):])
-        except ValueError:
-            pass
+    if isinstance(tag, str) and re.fullmatch(r"mixed:[1-9][0-9]*", tag):
+        return "mixed", int(tag[len("mixed:"):])
     raise ValueError(f"form tag must be left, right, mixed:<center>, vidal or unknown, got {tag!r}")
 
 
@@ -546,6 +544,7 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
     return GaugeReport("vidal", tuple(residuals.tolist()), None, None, None, passed, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual fails the check
 def verify(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
     """Check the gauge conditions of the form ``m`` claims, at ``tol``.
 
@@ -571,38 +570,31 @@ def truncate(
     """Apply ``policy`` at every cut; returns the truncated state and the
     per-cut discarded weights sqrt(sum of dropped lambda^2).
 
-    A canonical-form input is sliced in place (each bond's stored
-    spectrum decides what is dropped). Anything else is right-normalized
-    by a site sweep and truncated by a left-to-right site sweep, which
-    decides each cut on the exact Schmidt values of the state truncated
-    so far, so the per-cut errors add in quadrature to the distance from
-    the input; the back-sweep of from_dense_vidal then puts it in
-    canonical form. The result keeps at least one value per bond.
+    A canonical-form input is cut where its stored spectra say, and its
+    errors are their per-cut tails (an input that loses nothing comes
+    back unchanged). Anything else is cut by a left-to-right site sweep
+    on the exact Schmidt values of the state truncated so far, so the
+    errors add in quadrature to the distance from the input. Either way
+    the back-sweep of from_dense_vidal puts the result in canonical
+    form, keeping at least one value per bond.
     """
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
+    blocks = _blocks(m)
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
-        if m.num_sites == 1:
-            return m, []
         lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
         keeps = [_policy_keep(lam, policy) for lam in lams]
         errors = [low_rank_error(lam, keep) for lam, keep in zip(lams, keeps)]
-        sites = []
-        for n, site in enumerate(m.sites):
-            lkeep = keeps[n - 1] if n > 0 else 1
-            rkeep = keeps[n] if n < m.num_sites - 1 else 1
-            block = site.as_array()[:, :lkeep, :rkeep]
-            sites.append(SiteTensor(site.phys_dim, lkeep, rkeep, block.reshape(-1)))
-        bonds = tuple(BondSpectrum(lam[:keep]) for lam, keep in zip(lams, keeps))
-        return (
-            MatrixProductState(sites=tuple(sites), bonds=bonds, form="vidal"),
-            errors,
-        )
-    blocks = _blocks(m)
+        if keeps == [lam.size for lam in lams]:
+            return m, errors
+        blocks = [g[:, :left, :right] for g, left, right in zip(blocks, [1] + keeps, keeps + [1])]
+        policy = None
     _sweep_left(blocks)
     _check_nonzero(blocks[0])  # block 0 now carries the whole state
     mirror = _mirror(blocks)
-    errors = [err for _, err in _sweep_left(mirror, 0, policy)]
+    steps = _sweep_left(mirror, 0, policy)
+    if policy is not None:
+        errors = [err for _, err in steps]
     return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
 
 

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import idmps
-from idmps import load_mps, load_tensor, save_tensor, tensor_new, to_dense
+from idmps import (
+    OscillatorParams,
+    build_bundle,
+    load_mps,
+    load_tensor,
+    save_tensor,
+    state_norm,
+    tensor_new,
+    to_dense,
+)
 from idmps.cli import main
 
 
@@ -362,13 +371,28 @@ def run_cli_process(*argv):
     )
 
 
-def test_oscillator_overflow_exit_2_without_traceback(tmp_path):
-    # The closed-form overlap table overflows a float at this degree.
+def test_oscillator_high_degree_builds_with_the_library_norm(tmp_path):
+    # A closed-form overlap table overflows a float at this degree; the
+    # quadrature table stays bounded. d=200 cannot hold 100 quanta at
+    # this frequency, so the norm is below 1.
     proc = run_cli_process("oscillator", "--n", "100", "--omega-tilde", "3", "--phys-cutoff", "200",
                            "--out-mps", str(tmp_path / "o.json"))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("numerical failure:")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    norm = json.loads(proc.stdout)["norm"]
+    params = OscillatorParams(n=100, omega_tilde=3.0, theta=0.0, phi=0.0, varphi=0.0, phys_cutoff=200)
+    assert 0.0 < norm <= 1.0
+    assert abs(norm - state_norm(build_bundle(params).mps)) <= 1e-12
+
+
+def test_oscillator_cutoff_above_the_limit_exit_1_without_traceback(tmp_path):
+    out = tmp_path / "o.json"
+    proc = run_cli_process("oscillator", "--n", "1", "--omega-tilde", "1", "--phys-cutoff", "601",
+                           "--out-mps", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and "phys_cutoff" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_non_finite_tensor_entry_exit_1_without_traceback(tmp_path):
@@ -547,9 +571,12 @@ def test_verify_overflowing_left_site_exit_3_without_traceback(tmp_path, capsys)
     assert report["passed"] is False
     assert report["worst_site"] == 2
     assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("form", ["mixed", "mixed:", "mixed:x", "unknown", "Left"])
+@pytest.mark.parametrize(
+    "form", ["mixed", "mixed:", "mixed:x", "unknown", "Left", "mixed:+2", "mixed: 2", "mixed:0_2", "mixed:\u0662", "mixed:02", "mixed:2 ", "mixed:-1"]
+)
 def test_decompose_bad_form_tag_exit_1(tmp_path, capsys, form):
     src = write_ghz(tmp_path)
     out = tmp_path / "o.json"
@@ -560,7 +587,7 @@ def test_decompose_bad_form_tag_exit_1(tmp_path, capsys, form):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tag", ["mixed:x", "mixed", "sideways", 7, None])
+@pytest.mark.parametrize("tag", ["mixed:x", "mixed", "sideways", 7, None, "mixed:+2", "mixed: 2", "mixed:0_2", "mixed:\u0662", "mixed:02", "mixed:2 ", "mixed:-1"])
 def test_tampered_form_tag_exit_1(tmp_path, capsys, tag):
     src = write_ghz(tmp_path)
     mps_path = tmp_path / "m.json"

@@ -405,7 +405,8 @@ def test_parse_form_tag_round_trips_every_form():
     for m in states:
         assert parse_form_tag(m.tag) == (m.form, m.center)
     assert [m.tag for m in states] == ["left", "right", "vidal", "mixed:2", "mixed:3", "unknown"]
-    for bad in ("mixed", "mixed:", "mixed:x", "diagonal", "", None, 3, ["left"]):
+    for bad in ("mixed", "mixed:", "mixed:x", "diagonal", "", None, 3, ["left"], "mixed:+2",
+                "mixed: 2", "mixed:0_2", "mixed:\u0662", "mixed:02", "mixed:2 ", "mixed:-1", "mixed:0"):
         with pytest.raises(ValueError):
             parse_form_tag(bad)
     assert "parse_form_tag" not in idmps.__all__
@@ -522,6 +523,18 @@ def test_truncate_dense_difference_bound():
     out, errors = truncate(m, TruncationPolicy(max_bond=2))
     diff = np.linalg.norm(to_dense(out).data - to_dense(m).data)
     assert diff <= np.sqrt(np.sum(np.asarray(errors) ** 2)) + 1e-9
+
+
+def test_truncate_vidal_output_passes_verify_vidal():
+    # Slicing Gamma and lambda in place breaks the canonical form; the
+    # sliced chain must be re-canonicalized.
+    for seed in range(20):
+        t = random_tensor(np.random.default_rng(seed), (3, 2, 3, 2, 3))
+        out, errors = truncate(from_dense_vidal(t), TruncationPolicy(max_bond=3))
+        assert out.form == "vidal" and max(out.bond_dims) <= 3
+        assert verify_vidal(out, 1e-8).passed, seed
+        distance = np.linalg.norm(t.data - to_dense(out).data)
+        assert all(err <= distance + 1e-10 for err in errors), seed
 
 
 def test_truncate_non_vidal_returns_canonical_form():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from math import comb, factorial, log, pi, sqrt
 
+import idmps.oscillator
 from idmps import (
     DegreeTooLarge,
     IndexOutOfRange,
@@ -19,10 +22,12 @@ from idmps import (
     integral_I_closed,
     integral_I_quadrature,
     oscillator_dense,
+    state_norm,
     tensor_norm,
     wavefunction_direct,
     wavefunction_mps,
 )
+from idmps.oscillator import MAX_PHYS_CUTOFF, _overlap_table
 
 # n=1 at unit frequency with theta = varphi = pi/4, phi = 0 gives the
 # direction (1/sqrt2, -1/2, 1/2), hence alpha = (1/2, 1/2) and
@@ -37,6 +42,8 @@ def test_params_validation():
         OscillatorParams(n=1, omega_tilde=0.0, theta=0, phi=0, varphi=0, phys_cutoff=4)
     with pytest.raises(ValueError):
         OscillatorParams(n=1, omega_tilde=1.0, theta=0, phi=0, varphi=0, phys_cutoff=1)
+    with pytest.raises(ValueError):
+        OscillatorParams(n=1, omega_tilde=1.0, theta=0, phi=0, varphi=0, phys_cutoff=MAX_PHYS_CUTOFF + 1)
 
 
 def test_direction_is_unit_vector():
@@ -275,3 +282,35 @@ def test_element_decay_in_tail():
         for k in range(4, 18):
             if mags[k] > 0.0:
                 assert mags[k + 2] < mags[k]
+
+
+@settings(max_examples=40, deadline=None)
+@example(1.0, [])
+@given(st.floats(0.1, 10.0), st.lists(st.tuples(st.integers(0, 199), st.integers(0, 60)), max_size=4))
+def test_overlap_table_matches_the_quadrature_oracle(w, pairs):
+    table = _overlap_table(200, 61, w)
+    for k, j in pairs:
+        ref = coeff_C(k, j, w) * integral_I_quadrature(k, j, w, points=(k + j) // 2 + 9)
+        assert abs(table[k, j] - ref) <= 1e-12, (k, j)
+    odd = np.add.outer(np.arange(200), np.arange(61)) % 2 == 1
+    assert np.all(table[odd] == 0.0)
+    # Overlaps of unit vectors, and (Bessel) column j holds a unit vector's
+    # coefficients on f_0..f_199; at w=1 the bounds are met with equality.
+    assert np.max(np.abs(table)) <= 1.0 + 1e-12
+    assert np.max(np.sum(table**2, axis=0)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("w", [0.1, 3.0, 10.0])
+def test_state_norm_is_one_once_the_cutoff_resolves_the_state(w):
+    p = OscillatorParams(n=10, omega_tilde=w, theta=0.7, phi=0.4, varphi=1.1, phys_cutoff=400)
+    assert abs(state_norm(build_bundle(p).mps) - 1.0) <= 1e-12
+
+
+def test_bundle_does_not_use_the_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("build_bundle evaluated the closed form")
+
+    monkeypatch.setattr(idmps.oscillator, "integral_I_closed", closed_form)
+    monkeypatch.setattr(idmps.oscillator, "coeff_C", closed_form)
+    b = build_bundle(OscillatorParams(**WORKED))
+    assert abs(state_norm(b.mps) - 1.0) <= 1e-12
