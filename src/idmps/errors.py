@@ -35,7 +35,7 @@ class ZeroState(IdmpsError):
 
 
 class CenterOutOfRange(IdmpsError):
-    """Mixed-canonical center outside 2..N-1."""
+    """Mixed-canonical center outside 1..N-1."""
 
 
 class DimChainBroken(IdmpsError):

@@ -19,12 +19,28 @@ the float range are rejected on load.
 The writers stream each document: a fixed skeleton with json.dump's key
 order and separators, and each [re, im] payload in chunks through the C
 encoder (json.dumps). The files are byte for byte what json.dump of the
-whole document writes, without ever building that document. The reader
-type-checks and converts a payload in bulk and walks it entry by entry
-only to name the first bad entry.
+whole document writes, without ever building that document.
+
+load_tensor first tries a block reader for the layout those writers (and
+json.dump) emit: the exact header {"version": 1, "shape": [...], "data": [,
+the pairs joined by ", ", then "]]}" and an optional newline. It decodes
+the file's bytes in blocks cut at "], [" boundaries. A block with its
+number characters (0-9 . e E + -) deleted must read "[, ], " repeated and
+ending in "[, ]", which proves the pair structure; with its brackets
+deleted, json.loads parses the numbers, so json's own scanner decides
+what is a number and its value. The values fill one float array sized
+from the pairs found, never from the declared shape. Any other file
+(other whitespace or key order, NaN, booleans, an int beyond the float
+range, a bad token) falls back to json.load, which also produces every
+error message; the finiteness and entry-count checks run on both paths.
+MPS files always take the json.load path, which type-checks and converts
+a payload in bulk and walks it entry by entry only to name the first bad
+entry.
 """
 
 import json
+import math
+import re
 from itertools import chain
 
 import numpy as np
@@ -52,6 +68,61 @@ def _write_complex(fh, data: np.ndarray) -> None:
             fh.write(", ")
         fh.write(json.dumps(pairs[start : start + _CHUNK].tolist())[1:-1])
     fh.write("]")
+
+
+# The header of the tensor layout the block reader takes; its shape holds
+# digits, commas and spaces only.
+_TENSOR_HEADER = re.compile(rb'\{"version": 1, "shape": (\[[0-9, ]*\]), "data": \[')
+# What JSON may spell a number with; no JSON value but a number is made
+# of these bytes alone.
+_NUMBER_BYTES = b"0123456789.eE+-"
+# Payload bytes per json.loads call when reading a tensor: a block's
+# copies and its list of floats take about four times its size, so at
+# 256 KiB a 2^16-entry file (3.2 MB) peaks at 1.7x its size, where 1 MiB
+# blocks give 2.7x; one call still parses some 10^4 numbers.
+_BLOCK = 1 << 18
+
+
+def _is_shape(shape) -> bool:
+    return (
+        isinstance(shape, list)
+        and bool(shape)
+        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
+    )
+
+
+def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
+    """(shape, data) of a tensor file in the writers' layout, parsed a
+    block of pairs at a time without a list per entry; None for any other
+    file, which the json.load path then reads or rejects. ``data`` is
+    what json.load would give, not yet checked to be finite."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head = _TENSOR_HEADER.match(raw)
+    stop = len(raw) - raw.endswith(b"\n") - 2
+    if head is None or raw[stop : stop + 2] != b"]}" or stop <= head.end():
+        return None
+    try:
+        shape = json.loads(head[1])
+        if not _is_shape(shape):
+            return None
+        out = np.empty(2 * (raw.count(b"], [", head.end(), stop) + 1))
+        filled, pos = 0, head.end()
+        while pos < stop:
+            cut = raw.find(b"], [", pos + _BLOCK, stop)
+            cut = stop if cut < 0 else cut + 1
+            block = raw[pos:cut]
+            # Its numbers deleted, a block of k pairs reads "[, ], " * (k-1) + "[, ]".
+            skeleton = block.translate(None, _NUMBER_BYTES)
+            pairs = (len(skeleton) + 2) // 6
+            if skeleton != b"[, ], " * (pairs - 1) + b"[, ]":
+                return None
+            out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
+            filled, pos = filled + 2 * pairs, cut + 2
+    except (ValueError, OverflowError):
+        # A token json rejects, or an int beyond the float range.
+        return None
+    return shape, out.view(complex)
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -119,19 +190,19 @@ def save_tensor(path: str, t: DenseTensor) -> None:
 
 
 def load_tensor(path: str) -> DenseTensor:
-    doc = _load_document(path, "tensor file")
-    shape = doc.get("shape")
-    if (
-        not isinstance(shape, list)
-        or not shape
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
-    ):
-        raise FileFormatError(f"tensor file {path!r}: shape must be a list of positive integers")
-    data = _decode_complex(doc.get("data"), f"tensor file {path!r}")
-    if data.size != int(np.prod(shape)):
-        raise FileFormatError(
-            f"tensor file {path!r}: {data.size} entries for shape {tuple(shape)}"
-        )
+    what = f"tensor file {path!r}"
+    fast = _read_tensor_blocks(path)
+    if fast is None:
+        doc = _load_document(path, "tensor file")
+        shape = doc.get("shape")
+        if not _is_shape(shape):
+            raise FileFormatError(f"{what}: shape must be a list of positive integers")
+        data = _decode_complex(doc.get("data"), what)
+    else:
+        shape, data = fast
+        _check_finite(data, what)
+    if data.size != math.prod(shape):
+        raise FileFormatError(f"{what}: {data.size} entries for shape {tuple(shape)}")
     return tensor_new(tuple(shape), data)
 
 

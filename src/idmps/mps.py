@@ -352,15 +352,15 @@ def decompose(
     """MPS of ``t`` in ``form`` (left, right, mixed or vidal), with the
     dense sweep's record of each of its N-1 cuts.
 
-    ``center`` (2..N-1, N >= 3) is required for, and only accepted with,
+    ``center`` (1..N-1, N >= 2) is required for, and only accepted with,
     the mixed form. ``policy`` truncates each cut as the sweep reaches
     it, left to right, so the records' discarded weights add in
     quadrature to the distance between ``t`` and the returned state.
     """
     if form == "mixed":
-        if center is None or t.ndim < 3 or not 2 <= center <= t.ndim - 1:
+        if center is None or not 1 <= center <= t.ndim - 1:
             raise CenterOutOfRange(
-                f"center must be in 2..{max(t.ndim - 1, 2)} with N >= 3, got {center}"
+                f"center must be in 1..{max(t.ndim - 1, 1)} with N >= 2, got {center}"
             )
     elif form not in ("left", "right", "vidal"):
         raise ValueError(f"form must be left, right, mixed or vidal, got {form!r}")
@@ -574,9 +574,10 @@ def truncate(
     errors are their per-cut tails (an input that loses nothing comes
     back unchanged). Anything else is cut by a left-to-right site sweep
     on the exact Schmidt values of the state truncated so far, so the
-    errors add in quadrature to the distance from the input. Either way
-    the back-sweep of from_dense_vidal puts the result in canonical
-    form, keeping at least one value per bond.
+    errors add in quadrature to the distance from the input; a QR sweep
+    from the right end first right-normalizes the chain so that those
+    values are exact. Either way the back-sweep of from_dense_vidal puts
+    the result in canonical form, keeping at least one value per bond.
     """
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
@@ -589,13 +590,24 @@ def truncate(
             return m, errors
         blocks = [g[:, :left, :right] for g, left, right in zip(blocks, [1] + keeps, keeps + [1])]
         policy = None
-    _sweep_left(blocks)
-    _check_nonzero(blocks[0])  # block 0 now carries the whole state
     mirror = _mirror(blocks)
+    _qr_sweep(mirror)
+    _check_nonzero(mirror[-1])  # site 1's block now carries the whole state
     steps = _sweep_left(mirror, 0, policy)
     if policy is not None:
         errors = [err for _, err in steps]
     return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
+
+
+def _qr_sweep(blocks: list[np.ndarray]) -> None:
+    """Left-normalize blocks 0..N-2 in place by a QR sweep that carries
+    each step's R into the next block; the last block ends up carrying
+    the whole state."""
+    for n in range(len(blocks) - 1):
+        g = blocks[n]
+        q, r = np.linalg.qr(g.reshape(-1, g.shape[2]))
+        blocks[n] = q.reshape(g.shape[0], g.shape[1], -1)
+        blocks[n + 1] = np.matmul(r, blocks[n + 1])
 
 
 def _qr_weight(blocks: list[np.ndarray]) -> np.ndarray:

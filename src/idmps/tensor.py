@@ -115,7 +115,8 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool, rank_tol: float):
         res = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
-    s = res.S if compute_uv else res
+    # By position: numpy 1.x returns a plain (u, s, vh) tuple.
+    s = res[1] if compute_uv else res
     if not np.all(np.isfinite(s)):
         raise ConvergenceFailure(
             "SVD overflowed: the matrix's singular values exceed the double-precision range"

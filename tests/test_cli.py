@@ -77,6 +77,20 @@ def test_decompose_mixed_form_tag(tmp_path, capsys):
     assert load_mps(out).center == 2
 
 
+def test_decompose_mixed_center_1(tmp_path, capsys):
+    src = write_ghz(tmp_path)
+    out = str(tmp_path / "mixed.json")
+    code, report, _ = run_cli(capsys, "decompose", src, "--form", "mixed:1", "--out", out)
+    assert code == 0
+    assert report["form"] == "mixed:1"
+    code, report, _ = run_cli(capsys, "verify", out)
+    assert code == 0 and report["passed"] is True
+    code, report, _ = run_cli(
+        capsys, "reconstruct", out, "--out", str(tmp_path / "t.json"), "--reference", src
+    )
+    assert code == 0 and report["residual"] < 1e-14
+
+
 def test_decompose_with_truncation(tmp_path, capsys):
     src = write_ghz(tmp_path)
     out = str(tmp_path / "trunc.json")

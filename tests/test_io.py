@@ -1,10 +1,13 @@
 """File formats: the streamed writers against json.dump of the whole
-document, bulk decoding, rejection of malformed or non-finite payloads,
-and the oscillator CSV against csv.writer."""
+document, bulk decoding, the tensor block reader against the json.load
+path, rejection of malformed or non-finite payloads, and the oscillator
+CSV against csv.writer."""
 
 import csv
 import io
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from idmps import (
     save_tensor,
     tensor_new,
 )
+import idmps.io
 from idmps.cli import main
 from idmps.io import _CHUNK, _write_complex
 
@@ -143,6 +147,131 @@ def test_tensor_round_trip_is_bit_exact(tmp_path_factory, parts):
     save_tensor(str(path), tensor_new((data.size,), data))
     back = load_tensor(str(path)).data
     assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.just(2)),
+        elements=st.one_of(st.sampled_from(EXTREMES), finite_floats),
+    ),
+    st.sampled_from(["save_tensor", "json.dump"]),
+    st.booleans(),
+    st.sampled_from([1, 40, idmps.io._BLOCK]),
+)
+def test_block_reader_is_bit_exact(tmp_path_factory, parts, writer, newline, block):
+    """Files in the writers' layout load through the block reader, never
+    json.load, bit for bit, whatever block boundaries fall where."""
+    data = parts.view(complex).reshape(-1)
+    path = tmp_path_factory.mktemp("blocks") / "t.json"
+    if writer == "save_tensor":
+        save_tensor(str(path), tensor_new((data.size,), data))
+        text = path.read_text()
+    else:
+        text = _dumped({"version": 1, "shape": [data.size], "data": _pairs(data)})
+    path.write_text(text if newline else text[:-1])
+    with mock.patch.object(idmps.io, "_BLOCK", block), mock.patch(
+        "json.load", side_effect=AssertionError("the json.load path ran")
+    ):
+        back = load_tensor(str(path)).data
+    assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+def _outcome(path: str):
+    """What load_tensor makes of a file: (shape, data bits) or the
+    FileFormatError message."""
+    try:
+        t = load_tensor(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return t.shape, t.data.view(np.uint64).tolist()
+
+
+BASE_TENSOR = '{"version": 1, "shape": [4], "data": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [2.0, 3.0]]}\n'
+LONG_INT = "1" + "0" * 400
+
+# (edits to BASE_TENSOR, whether the block reader takes the result)
+MUTATED_TENSORS = {
+    "int": ([("[0.5,", "[3,")], True),
+    "exponent": ([("[0.5,", "[5E-1,")], True),
+    "minus-zero-int": ([("[0.5,", "[-0,")], True),
+    "overflow": ([("[0.5,", "[1e400,")], True),
+    "no-newline": ([("}\n", "}")], True),
+    "huge-shape": ([("[4]", "[1099511627776]")], True),
+    "plus": ([("[0.5,", "[+1,")], False),
+    "leading-dot": ([("[0.5,", "[.5,")], False),
+    "trailing-dot": ([("[0.5,", "[1.,")], False),
+    "leading-zero": ([("[0.5,", "[01,")], False),
+    "nan": ([("[0.5,", "[NaN,")], False),
+    "long-int": ([("[0.5,", f"[{LONG_INT},")], False),
+    "overflow-then-long-int": ([("[0.5,", "[1e400,"), ("[2.0,", f"[{LONG_INT},")], False),
+    "bool": ([("[0.5,", "[true,")], False),
+    "three": ([("-0.25]", "-0.25, 1.0]")], False),
+    "nested": ([("[0.5, -0.25]", "[[0.5, -0.25], 1.0]")], False),
+    "spaces": ([("[0.5, -0.25]", "[0.5,  -0.25]")], False),
+    "swapped-keys": ([('"version": 1, "shape": [4]', '"shape": [4], "version": 1')], False),
+    "float-shape": ([("[4]", "[4.0]")], False),
+    "deep-shape": ([("[4]", "[" * 100000 + "4]")], False),
+    "empty-data": ([("[[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [2.0, 3.0]]", "[]")], False),
+    "crlf": ([("}\n", "}\r\n")], False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-(2**1100), 2**1100), st.integers(-(2**70), 2**70)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_block_reader_ints_agree_with_json_load(tmp_path_factory, pairs):
+    """Integer entries, exact or rounded, and those beyond the float range
+    (which fall back), load as the json.load path loads them."""
+    path = tmp_path_factory.mktemp("ints") / "t.json"
+    path.write_text(_dumped({"version": 1, "shape": [len(pairs)], "data": [list(p) for p in pairs]}))
+    got = _outcome(str(path))
+    with mock.patch.object(idmps.io, "_read_tensor_blocks", return_value=None):
+        assert got == _outcome(str(path))
+
+
+@pytest.mark.parametrize("block", [1, idmps.io._BLOCK])
+@pytest.mark.parametrize("name", MUTATED_TENSORS)
+def test_block_reader_agrees_with_json_load(tmp_path, name, block):
+    """Every mutated file gives the json.load path's tensor or its
+    FileFormatError message; the block reader takes only files json.load
+    reads the same."""
+    edits, taken = MUTATED_TENSORS[name]
+    text = BASE_TENSOR
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    with mock.patch.object(idmps.io, "_BLOCK", block):
+        assert (idmps.io._read_tensor_blocks(str(path)) is not None) == taken
+        got = _outcome(str(path))
+    with mock.patch.object(idmps.io, "_read_tensor_blocks", return_value=None):
+        assert got == _outcome(str(path))
+    if name == "huge-shape":
+        assert got.endswith(": 4 entries for shape (1099511627776,)")
+
+
+def test_block_reader_peak_memory(tmp_path):
+    """The block reader peaks below twice the file's size, where json.load
+    of the nested pairs takes about four times it."""
+    n = 1 << 16
+    rng = np.random.default_rng(11)
+    path = tmp_path / "t.json"
+    save_tensor(str(path), tensor_new((n,), rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    tracemalloc.start()
+    try:
+        load_tensor(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
 
 
 def _write_tensor_doc(path, data) -> str:

@@ -191,11 +191,15 @@ def test_mixed_center_spectrum_oracle():
 def test_mixed_center_out_of_range():
     rng = np.random.default_rng(34)
     with pytest.raises(CenterOutOfRange):
-        from_dense_mixed_canonical(random_tensor(rng, (2, 2)), 1)
-    t = random_tensor(rng, (2, 2, 2))
-    for center in (1, 3, 0):
-        with pytest.raises(CenterOutOfRange):
-            from_dense_mixed_canonical(t, center)
+        from_dense_mixed_canonical(random_tensor(rng, (2,)), 1)
+    for shape in ((2, 3), (3, 2, 2), (2, 2, 2, 2)):
+        t = random_tensor(rng, shape)
+        for center in (0, len(shape)):
+            with pytest.raises(CenterOutOfRange):
+                from_dense_mixed_canonical(t, center)
+        m = from_dense_mixed_canonical(t, 1)
+        assert m.center == 1 and verify(m).passed
+        np.testing.assert_allclose(to_dense(m).data, t.data, atol=1e-13)
 
 
 def test_vidal_bell():

@@ -182,6 +182,22 @@ def test_svd_gauge_matches_the_column_loop_bit_for_bit(m):
     assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.vh, vh)
 
 
+def test_svd_takes_numpy_1_plain_tuples(monkeypatch):
+    """numpy 1.x's svd returns a plain (u, s, vh) tuple, not the named
+    result of numpy 2."""
+    lapack = np.linalg.svd
+
+    def numpy_1_svd(a, full_matrices=True, compute_uv=True):
+        res = lapack(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        return tuple(res) if compute_uv else res
+
+    monkeypatch.setattr(np.linalg, "svd", numpy_1_svd)
+    m = _complex(np.random.default_rng(17), 5, 3)
+    res = svd(m)
+    u, s, vh = looped_gauge_svd(m)
+    assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.vh, vh)
+
+
 def test_svd_rejects_empty():
     with pytest.raises(ShapeMismatch):
         svd(np.zeros((0, 3)))
