@@ -24,7 +24,7 @@ from .errors import ConvergenceFailure, FormMismatch, IdmpsError, ZeroState
 from .io import load_mps, load_tensor, save_mps, save_tensor
 from .mps import TruncationPolicy, decompose, parse_form_tag, state_norm, to_dense, verify
 from .oscillator import OscillatorParams, _decay_columns, build_bundle
-from .tensor import DEFAULT_RANK_TOL, tensor_norm
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, tensor_norm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,24 +71,31 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, which the report must not print as Infinity or NaN."""
+    if not np.isfinite(value):
+        raise OverflowError(f"the {name} {value} is outside the double-precision range")
+    return value
+
+
 def cmd_reconstruct(args) -> int:
     m = load_mps(args.input)
     t = to_dense(m)
-    save_tensor(args.out, t)
     report = {
         "shape": list(t.shape),
-        "norm": tensor_norm(t),
+        "norm": _finite("norm", tensor_norm(t)),
         "out": args.out,
     }
+    save_tensor(args.out, t)
     if args.reference is not None:
         ref = load_tensor(args.reference)
         if ref.shape != t.shape:
             raise ValueError(
                 f"reference shape {ref.shape} != reconstructed shape {t.shape}"
             )
-        diff = float(np.linalg.norm(t.data - ref.data))
+        diff = tensor_norm(DenseTensor(t.shape, t.data - ref.data))
         scale = tensor_norm(ref)
-        report["residual"] = diff / scale if scale > 0.0 else diff
+        report["residual"] = _finite("residual", diff / scale if scale > 0.0 else diff)
     _emit(report)
     return 0
 

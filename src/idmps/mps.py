@@ -21,13 +21,17 @@ that records every bond's weights. Alongside the state, ``decompose``
 returns the sweep's own record of every cut (``CutDiagnostics``): the
 singular values its SVD found there, how many the policy kept, and the
 weight it discarded. Those discarded weights add in quadrature to the
-distance between the input and the returned state. Truncation, of
-any form, uses the same site step. Schmidt spectra of bonds
-without stored weights need no SVD step: QR gauge moves from both ends
-leave the bond's weight in one small matrix, whose singular values are
-the spectrum. No operation here expands a chain back into a dense
-tensor except ``to_dense`` itself. Without truncation the
-constructions reproduce the input to working precision, and the
+distance between the input and the returned state. Truncation, of any
+form, uses the same site step. A state and its site arrays are immutable
+(the arrays are read-only), so a state keeps what its queries derive,
+built on first use: the chain with its stored weights folded in, and
+the R factors of one QR sweep from each end. Schmidt spectra of bonds
+without stored weights need no SVD step: those QR gauge moves leave the
+bond's weight in one small matrix, whose singular values are the
+spectrum. The first such query on a state costs the two sweeps, each
+later cut one small values-only SVD. No operation here expands a chain
+back into a dense tensor except ``to_dense`` itself. Without truncation
+the constructions reproduce the input to working precision, and the
 bond->Schmidt identifications hold at every cut. ``verify`` checks
 whichever gauge a state's form tag claims; every check compares a Gram
 contraction with the identity and returns one ``GaugeReport``.
@@ -39,19 +43,13 @@ for the CLI's ``--form`` and for MPS files alike.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    CenterOutOfRange,
-    CutOutOfRange,
-    DimChainBroken,
-    FormMismatch,
-    IndexOutOfRange,
-    LengthMismatch,
-    PolicyEmpty,
-    ShapeMismatch,
-    ZeroState,
+    CenterOutOfRange, CutOutOfRange, DimChainBroken, FormMismatch, IndexOutOfRange,
+    LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
@@ -64,7 +62,8 @@ class SiteTensor:
     """One site's three-index block M^{(k)}_{a_left, a_right}.
 
     ``data`` is flat with entry (k, a_left, a_right) at index
-    (k * left_dim + a_left) * right_dim + a_right.
+    (k * left_dim + a_left) * right_dim + a_right. It is read-only, as is
+    the shaped view ``as_array`` returns.
     """
 
     phys_dim: int
@@ -81,11 +80,12 @@ class SiteTensor:
         expected = self.phys_dim * self.left_dim * self.right_dim
         if flat.size != expected:
             raise ShapeMismatch(f"site data length {flat.size}, expected {expected}")
-        object.__setattr__(self, "data", flat)
+        object.__setattr__(self, "data", _frozen(flat))
+        object.__setattr__(self, "_array", flat.reshape(self.phys_dim, self.left_dim, -1))
 
     def as_array(self) -> np.ndarray:
-        """The block as an array of shape (phys_dim, left_dim, right_dim)."""
-        return self.data.reshape(self.phys_dim, self.left_dim, self.right_dim)
+        """The block as a read-only view of shape (phys_dim, left_dim, right_dim)."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ class MatrixProductState:
     weight vector on bond n (None where no weights sit, e.g. away from
     the center of a mixed-canonical state). The ``form`` tag records how
     the state was built; it is verified by the verify_* operations,
-    never assumed.
+    never assumed. What queries derive from the state is built on first
+    use and kept with it (two threads may both build it, equally).
     """
 
     sites: tuple[SiteTensor, ...]
@@ -165,9 +166,8 @@ class MatrixProductState:
                     )
         if self.form not in FORMS:
             raise ValueError(f"unknown form tag {self.form!r}")
-        if self.form == "mixed":
-            if self.center is None or not 1 <= self.center <= len(sites) - 1:
-                raise ValueError(f"mixed form needs a center in 1..{len(sites) - 1}")
+        if self.form == "mixed" and (self.center is None or not 1 <= self.center <= len(sites) - 1):
+            raise ValueError(f"mixed form needs a center in 1..{len(sites) - 1}")
 
     @property
     def num_sites(self) -> int:
@@ -185,6 +185,27 @@ class MatrixProductState:
     def tag(self) -> str:
         """The form tag: ``mixed:<center>`` for a mixed state, else the form."""
         return f"mixed:{self.center}" if self.form == "mixed" else self.form
+
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, ...]:
+        """Read-only site blocks with every stored bond weight multiplied
+        into the block on its left: a weight-free chain for the same state."""
+        blocks = [site.as_array() for site in self.sites]
+        for n, spec in enumerate(self.bonds or ()):
+            if spec is not None:
+                blocks[n] = _frozen(blocks[n] * spec.values)
+        return tuple(blocks)
+
+    @cached_property
+    def _slices(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per site, the chain block's matrix for each physical index."""
+        return tuple(tuple(g) for g in self._chain)
+
+    @cached_property
+    def _bond_rs(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``_qr_rs`` over the chain and over its mirror: either side of any
+        cut is an isometry times one of these R factors."""
+        return _qr_rs(self._chain[:-1]), _qr_rs(_mirror(self._chain[1:]))
 
 
 def parse_form_tag(tag) -> tuple[str, int | None]:
@@ -277,10 +298,8 @@ def _dense_sweep(
 
 
 def _sweep_left(
-    blocks: list[np.ndarray],
-    stop: int = 0,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    blocks: list[np.ndarray], stop: int = 0,
+    policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list[tuple[np.ndarray, float]]:
     """Move the weight from the last block onto block ``stop`` (0-based),
     one site step per bond.
@@ -310,21 +329,14 @@ def _mirror(blocks: list[np.ndarray]) -> list[np.ndarray]:
     return [g.transpose(0, 2, 1) for g in reversed(blocks)]
 
 
-def _blocks(m: MatrixProductState) -> list[np.ndarray]:
-    """Site arrays with every stored bond weight multiplied into the
-    block on its left: a weight-free chain for the same state."""
-    blocks = [site.as_array() for site in m.sites]
-    for n, spec in enumerate(m.bonds or ()):
-        if spec is not None:
-            blocks[n] = blocks[n] * spec.values
-    return blocks
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # what a state keeps must not change under it
+    return a
 
 
-def _chain(
-    blocks: list[np.ndarray],
-    form: str,
-    bonds: tuple[BondSpectrum | None, ...] | None = None,
-    center: int | None = None,
+def _state(
+    blocks: list[np.ndarray], form: str,
+    bonds: tuple[BondSpectrum | None, ...] | None = None, center: int | None = None,
 ) -> MatrixProductState:
     sites = tuple(SiteTensor(*g.shape, g) for g in blocks)
     return MatrixProductState(sites=sites, bonds=bonds, form=form, center=center)
@@ -339,15 +351,12 @@ def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
     """
     lams = [s for s, _ in _sweep_left(blocks, 0, None, rank_tol)][::-1]
     gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
-    return _chain(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
+    return _state(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
 
 
 def decompose(
-    t: DenseTensor,
-    form: str,
-    center: int | None = None,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    t: DenseTensor, form: str, center: int | None = None,
+    policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL,
 ) -> tuple[MatrixProductState, tuple[CutDiagnostics, ...]]:
     """MPS of ``t`` in ``form`` (left, right, mixed or vidal), with the
     dense sweep's record of each of its N-1 cuts.
@@ -368,25 +377,22 @@ def decompose(
         raise ValueError(f"a center applies only to the mixed form, not {form!r}")
     blocks, cuts = _dense_sweep(t, policy, rank_tol)
     if form == "left":
-        return _chain(blocks, "left"), cuts
+        return _state(blocks, "left"), cuts
     if form == "right":
         _sweep_left(blocks, 0, None, rank_tol)
-        return _chain(blocks, "right"), cuts
+        return _state(blocks, "right"), cuts
     if form == "vidal":
         return _vidal(blocks, rank_tol), cuts
     weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1][0]
-    # The last step absorbed U S into the center site; U alone keeps it
-    # left-normalized.
+    # The last step absorbed U S into the center site; U alone is left-normalized.
     blocks[center - 1] = blocks[center - 1] / weights
     bonds: list[BondSpectrum | None] = [None] * (t.ndim - 1)
     bonds[center - 1] = BondSpectrum(weights)
-    return _chain(blocks, "mixed", tuple(bonds), center), cuts
+    return _state(blocks, "mixed", tuple(bonds), center), cuts
 
 
 def from_dense_right_canonical(
-    t: DenseTensor,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    t: DenseTensor, policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> MatrixProductState:
     """Right-canonical MPS: sites 2..N right-normalized, site 1 carries
     the residual weights (its squared norm is the squared state norm)."""
@@ -394,9 +400,7 @@ def from_dense_right_canonical(
 
 
 def from_dense_left_canonical(
-    t: DenseTensor,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    t: DenseTensor, policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> MatrixProductState:
     """Left-canonical MPS: sites 1..N-1 left-normalized, site N carries
     the residual weights."""
@@ -404,10 +408,8 @@ def from_dense_left_canonical(
 
 
 def from_dense_mixed_canonical(
-    t: DenseTensor,
-    center: int,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    t: DenseTensor, center: int,
+    policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL,
 ) -> MatrixProductState:
     """Mixed-canonical MPS with the weight vector on bond ``center``.
 
@@ -419,9 +421,7 @@ def from_dense_mixed_canonical(
 
 
 def from_dense_vidal(
-    t: DenseTensor,
-    policy: TruncationPolicy | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    t: DenseTensor, policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL
 ) -> MatrixProductState:
     """Canonical-form MPS: every bond carries that cut's Schmidt
     coefficients and the site tensors are weight-free."""
@@ -430,9 +430,8 @@ def from_dense_vidal(
 
 def to_dense(m: MatrixProductState) -> DenseTensor:
     """Contract the chain (including any bond weights) back to a tensor."""
-    blocks = _blocks(m)
-    acc = blocks[0][:, 0, :]
-    for g in blocks[1:]:
+    acc = m._chain[0][:, 0, :]
+    for g in m._chain[1:]:
         acc = np.tensordot(acc, g, axes=([-1], [1]))
     return tensor_new(m.phys_dims, acc.reshape(-1))
 
@@ -470,7 +469,7 @@ def state_norm(m: MatrixProductState) -> float:
     """Euclidean norm of the state, from the chain contracted with its
     conjugate site by site (the dense tensor is never built)."""
     env = None
-    for block in _blocks(m):
+    for block in m._chain:
         env = _transfer(env, block)
     return float(np.sqrt(abs(env[0, 0].real)))
 
@@ -536,9 +535,8 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
     sites = [site.as_array() for site in m.sites]
     lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
     left = sites[:1] + [g * lam[None, :, None] for g, lam in zip(sites[1:], lams)]
-    right = [g * lam[None, None, :] for g, lam in zip(sites, lams)] + sites[-1:]
-    residuals = np.maximum(  # NaN-propagating, unlike max()
-        _gram_residuals(left[:-1], True), _gram_residuals(_mirror(right)[:-1], True)[::-1]
+    residuals = np.maximum(  # NaN-propagating, unlike max(); the chain carries the right weights
+        _gram_residuals(left[:-1], True), _gram_residuals(_mirror(m._chain)[:-1], True)[::-1]
     )
     passed = all(residuals <= tol)
     return GaugeReport("vidal", tuple(residuals.tolist()), None, None, None, passed, tol)
@@ -581,7 +579,7 @@ def truncate(
     """
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
-    blocks = _blocks(m)
+    blocks = m._chain
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
         lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
         keeps = [_policy_keep(lam, policy) for lam in lams]
@@ -610,32 +608,33 @@ def _qr_sweep(blocks: list[np.ndarray]) -> None:
         blocks[n + 1] = np.matmul(r, blocks[n + 1])
 
 
-def _qr_weight(blocks: list[np.ndarray]) -> np.ndarray:
-    """R of a left-normalizing QR sweep that carries each step's R into
-    the next block: the chain is a left isometry times this matrix."""
-    r = np.ones((1, 1), dtype=complex)
+def _qr_rs(blocks) -> tuple[np.ndarray, ...]:
+    """R after each step of a left-normalizing QR sweep that carries each
+    step's R into the next block: blocks 0..j are a left isometry times R_j."""
+    rs, r = [], np.ones((1, 1), dtype=complex)
     for g in blocks:
         g = np.matmul(r, g)
-        r = np.linalg.qr(g.reshape(-1, g.shape[2]), mode="r")
-    return r
+        r = _frozen(np.linalg.qr(g.reshape(-1, g.shape[2]), mode="r"))
+        rs.append(r)
+    return tuple(rs)
 
 
 def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     """Schmidt coefficients across bond ``cut`` (1..N-1).
 
     Uses the stored weights when the form provides them at that cut.
-    Otherwise QR sweeps left-normalize the sites before the cut and,
-    over the mirror, right-normalize those after it; the singular values
-    of the bond matrix left between them, rank-cut as ``svd`` cuts, are
-    the coefficients.
+    Otherwise the state's QR sweeps, run on its first such query, have
+    left-normalized the sites before the cut and, over the mirror,
+    right-normalized those after it; the singular values of the bond
+    matrix between them, rank-cut as ``svd`` cuts, are the coefficients.
     """
     if not 1 <= cut <= m.num_sites - 1:
         raise CutOutOfRange(f"cut must be in 1..{m.num_sites - 1}, got {cut}")
     if m.bonds is not None and m.bonds[cut - 1] is not None:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
-    blocks = _blocks(m)
-    weight = _qr_weight(blocks[:cut]) @ _qr_weight(_mirror(blocks[cut:])).T
+    lefts, rights = m._bond_rs
+    weight = lefts[cut - 1] @ rights[-cut].T
     s, rank = _lapack_svd(weight, False, DEFAULT_RANK_TOL)
     if rank == 0:
         raise ZeroState("the state is zero")
@@ -645,6 +644,14 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
 def entanglement_entropy(m: MatrixProductState, cut: int) -> float:
     """Entanglement entropy across bond ``cut``, in nats."""
     return entropy_from_values(bond_spectrum(m, cut).values)
+
+
+def _phys_slice(slices, k, n: int) -> np.ndarray:
+    """Entry ``k`` of site ``n``'s per-physical-index matrices."""
+    i = int(k)
+    if not 0 <= i < len(slices):
+        raise IndexOutOfRange(f"physical index {k} outside 0..{len(slices) - 1} at site {n}")
+    return slices[i]
 
 
 def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.ndarray:
@@ -657,27 +664,20 @@ def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.n
     if not 1 <= n <= m.num_sites:
         raise IndexOutOfRange(f"site must be in 1..{m.num_sites}, got {n}")
     site = m.sites[n - 1]
-    if not 0 <= k < site.phys_dim:
-        raise IndexOutOfRange(f"physical index {k} outside 0..{site.phys_dim - 1} at site {n}")
+    block = _phys_slice(site.as_array(), k, n)
     vec = np.asarray(x, dtype=complex).reshape(-1)
     if vec.size != site.right_dim:
         raise LengthMismatch(f"vector length {vec.size} != right_dim {site.right_dim} at site {n}")
-    return site.as_array()[k] @ vec
+    return block @ vec
 
 
 def coefficient(m: MatrixProductState, indices) -> complex:
-    """Evaluate one coefficient c_{k1..kN} by a right-to-left vector sweep
-    through the site maps (the full tensor is never materialized)."""
+    """Evaluate one coefficient c_{k1..kN} by a left-to-right vector sweep
+    through the chain's slices (the full tensor is never materialized)."""
     idx = list(indices)
     if len(idx) != m.num_sites:
         raise IndexOutOfRange(f"expected {m.num_sites} indices, got {len(idx)}")
-    for n, (k, site) in enumerate(zip(idx, m.sites), start=1):
-        if not 0 <= int(k) < site.phys_dim:
-            raise IndexOutOfRange(f"physical index {k} outside 0..{site.phys_dim - 1} at site {n}")
     v = np.ones(1, dtype=complex)
-    for n in range(m.num_sites - 1, -1, -1):
-        if m.bonds is not None and n < len(m.bonds) and m.bonds[n] is not None:
-            v = m.bonds[n].values * v
-        site = m.sites[n]
-        v = np.dot(site.data.reshape(site.phys_dim, site.left_dim, site.right_dim)[int(idx[n])], v)
+    for n, (k, slices) in enumerate(zip(idx, m._slices), start=1):
+        v = v.dot(_phys_slice(slices, k, n))
     return complex(v[0])

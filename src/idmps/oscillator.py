@@ -27,7 +27,7 @@ quadrature on the bounded f_k recurrence; the paper's closed form stays a formul
 import functools
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb, exp, factorial, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, ldexp, lgamma, log, pi, sqrt
 
 import numpy as np
 
@@ -161,29 +161,38 @@ def integral_I_closed(i: int, j: int, omega_tilde: float) -> float:
         I_{i,j} = sqrt(2 pi/(1+w)) * sum_r i! j! / (p! q! r!)
                   * (-1)^p (1-w)^{p+q} (4 sqrt(w))^r / (1+w)^{p+q+r}.
 
-    Entries of opposite parity are exactly zero.
+    The alternating sum is evaluated exactly: a float w is a rational,
+    and sqrt(w)^r = sqrt(w)^(i mod 2) w^((r - i mod 2)/2), so every term is
+    rational; the exact sum is rounded to a float once, at the end, and
+    only then multiplied by the irrational prefactor.
+    Entries of opposite parity are exactly zero. Since |coeff_C * I| <= 1,
+    |I| <= sqrt(pi 2^(i+j) i! j!) / w^(1/4); that bound fits a double for
+    every w >= 0.01 while i + j <= 296 (at w = 1, I_{i,i} = sqrt(pi) 2^i i!
+    first overflows at i = 151). Where |I| itself exceeds the double range,
+    DegreeTooLarge is raised.
     """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
     if (i + j) % 2:
         return 0.0
-    w = omega_tilde
-    one_minus = 1.0 - w
-    ln_base = lgamma(i + 1) + lgamma(j + 1)
-    ln_pow_r = log(4.0) + 0.5 * log(w)
-    ln_denom = log(1.0 + w)
-    total = 0.0
-    for r in range(i % 2, min(i, j) + 1, 2):
+    from fractions import Fraction  # here: it imports decimal, which nothing else needs
+
+    w, odd = Fraction(omega_tilde), i % 2
+    total = Fraction(0)
+    for r in range(odd, min(i, j) + 1, 2):
         q, p = (i - r) // 2, (j - r) // 2
-        if one_minus == 0.0 and p + q > 0:
-            continue
-        ln_mag = ln_base - lgamma(p + 1) - lgamma(q + 1) - lgamma(r + 1)
-        ln_mag += r * ln_pow_r - (p + q + r) * ln_denom
-        if p + q:
-            ln_mag += (p + q) * log(abs(one_minus))
-        sign = -1.0 if (p + (p + q) * (one_minus < 0.0)) % 2 else 1.0
-        total += sign * exp(ln_mag)
-    return sqrt(2.0 * pi / (1.0 + w)) * total
+        count = factorial(i) * factorial(j) // (factorial(p) * factorial(q) * factorial(r))
+        total += (-1) ** p * count * (1 - w) ** (p + q) * 4**r * w ** ((r - odd) // 2)
+    exact = total / (1 + w) ** ((i + j) // 2)  # p + q + r is (i + j) / 2 for every r
+    # Rounded as mantissa times a power of two, so no step overflows before the last.
+    scale = exact.numerator.bit_length() - exact.denominator.bit_length()
+    irrational = sqrt(2.0 * pi / (1.0 + omega_tilde)) * sqrt(omega_tilde) ** odd
+    try:
+        return ldexp(irrational * float(exact / Fraction(2) ** scale), scale)
+    except OverflowError:
+        raise DegreeTooLarge(
+            f"I_{{{i},{j}}} at omega_tilde={omega_tilde} exceeds the double-precision range"
+        ) from None
 
 
 def _hermite_extended(j: int, x: np.ndarray) -> np.ndarray:

@@ -75,9 +75,26 @@ def tensor_new(shape: Sequence[int], data: Sequence[complex] | np.ndarray) -> De
     return DenseTensor(shape=dims, data=flat)
 
 
+#: Above this, a plain sum of squares lost no digits to underflow.
+_PLAIN_NORM_FLOOR = 1e-140
+
+
+@np.errstate(over="ignore")
 def tensor_norm(t: DenseTensor) -> float:
-    """Euclidean (Hilbert-space) norm of the coefficient data."""
-    return float(np.linalg.norm(t.data))
+    """Euclidean (Hilbert-space) norm of the coefficient data.
+
+    Where the plain sum of squares would overflow or underflow, the data
+    are first divided by their largest magnitude, so the result is right
+    for any finite data; it is inf only where the norm itself exceeds the
+    double-precision range.
+    """
+    norm = float(np.linalg.norm(t.data))
+    if _PLAIN_NORM_FLOOR < norm < np.inf:
+        return norm
+    peak = float(np.max(np.abs(t.data)))
+    if not 0.0 < peak < np.inf:
+        return norm
+    return peak * float(np.linalg.norm(t.data / peak))
 
 
 def _check_cut(ndim: int, cut: int) -> None:

@@ -10,10 +10,13 @@ import pytest
 
 import idmps
 from idmps import (
+    MatrixProductState,
     OscillatorParams,
+    SiteTensor,
     build_bundle,
     load_mps,
     load_tensor,
+    save_mps,
     save_tensor,
     state_norm,
     tensor_new,
@@ -432,6 +435,37 @@ def test_overflowing_svd_exit_2_without_traceback(tmp_path):
     assert proc.stderr.startswith("numerical failure:")
     assert "overflow" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_reconstruct_reports_norm_and_residual_at_any_scale(tmp_path, scale):
+    # The plain sum of squares overflows at 1e200 and underflows at 1e-200.
+    rng = np.random.default_rng(11)
+    unit = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    src = tmp_path / "t.json"
+    save_tensor(str(src), tensor_new((2, 2, 2, 2), scale * unit))
+    mps_path = tmp_path / "m.json"
+    assert run_cli_process("decompose", str(src), "--form", "vidal", "--out", str(mps_path)).returncode == 0
+    proc = run_cli_process("reconstruct", str(mps_path), "--out", str(tmp_path / "b.json"),
+                           "--reference", str(src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["norm"] == pytest.approx(scale * float(np.linalg.norm(unit)), rel=1e-12)
+    assert report["residual"] <= 1e-12
+
+
+def test_reconstruct_norm_past_the_float_range_exit_2(tmp_path):
+    # Four finite entries of 1e308 have a norm of 2e308.
+    mps_path = tmp_path / "m.json"
+    save_mps(str(mps_path), MatrixProductState(sites=(SiteTensor(4, 1, 1, np.full(4, 1e308)),)))
+    out = tmp_path / "b.json"
+    proc = run_cli_process("reconstruct", str(mps_path), "--out", str(out))
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith("numerical failure:") and "norm" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
     assert not out.exists()
 
 

@@ -139,6 +139,44 @@ def test_integral_closed_vs_quadrature():
                 assert q == pytest.approx(c, rel=1e-9, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, idmps.oscillator.MAX_HERMITE_DEGREE),
+    st.integers(0, idmps.oscillator.MAX_HERMITE_DEGREE),
+    st.floats(0.01, 100.0),
+)
+# Points where the alternating sum used to cancel to garbage or overflow.
+@example(110, 110, 3.0)
+@example(120, 118, 3.0)
+@example(199, 99, 3.0)
+@example(150, 100, 10.0)
+@example(60, 40, 0.1)
+@example(114, 200, 1.0)
+def test_integral_closed_form_is_exact_over_the_whole_degree_range(i, j, w):
+    quad = integral_I_quadrature(i, j, w, points=(i + j) // 2 + 2)
+    try:
+        closed = integral_I_closed(i, j, w)
+    except DegreeTooLarge:
+        assert not abs(quad) < 1.7976931348623157e308, (i, j, w, quad)
+        return
+    if not np.isfinite(quad):
+        # Near w = 1 at high degree the rule's long-double terms cancel from
+        # beyond the double range and leave no reference; the overlap itself
+        # is then below the tolerance (at w = 1 it is exactly 0 for i != j).
+        assert abs(coeff_C(i, j, w) * closed) <= 1e-12, (i, j, w)
+        return
+    assert abs(coeff_C(i, j, w) * (closed - quad)) <= 1e-12, (i, j, w)
+
+
+def test_integral_closed_form_raises_where_the_integral_overflows():
+    assert integral_I_closed(150, 150, 1.0) == pytest.approx(
+        sqrt(pi) * 2**150 * factorial(150), rel=1e-15
+    )
+    for i, j, w in [(151, 151, 1.0), (200, 200, 0.37)]:
+        with pytest.raises(DegreeTooLarge, match="double-precision range"):
+            integral_I_closed(i, j, w)
+
+
 def test_integral_quadrature_node_requirement():
     with pytest.raises(InsufficientNodes):
         integral_I_quadrature(5, 5, 1.0, points=5)

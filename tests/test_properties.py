@@ -1,6 +1,7 @@
 """Property tests over random shapes and truncation policies."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from idmps import (
     SiteTensor,
     TruncationPolicy,
     bond_spectrum,
+    coefficient,
     decompose,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
@@ -16,6 +18,7 @@ from idmps import (
     from_dense_vidal,
     low_rank_error,
     schmidt_decompose,
+    state_norm,
     tensor_new,
     to_dense,
     truncate,
@@ -177,3 +180,85 @@ def test_bond_spectra_match_the_dense_schmidt_values(shape, kind, scale, seed):
             want = schmidt_decompose(dense, cut).coefficients
             assert got.shape == want.shape, (m.form, cut)
             assert np.max(np.abs(got - want)) <= bound, (m.form, cut)
+
+
+def qr_weight(blocks):
+    """R of a left-normalizing QR sweep that carries each step's R into
+    the next block: the chain is a left isometry times this matrix."""
+    r = np.ones((1, 1), dtype=complex)
+    for g in blocks:
+        g = np.matmul(r, g)
+        r = np.linalg.qr(g.reshape(-1, g.shape[2]), mode="r")
+    return r
+
+
+def reference_spectrum(m, cut):
+    """bond_spectrum without a cache: stored weights where the form gives
+    them, else two R-only QR sweeps that meet at the cut, every call."""
+    if m.bonds is not None and m.bonds[cut - 1] is not None:
+        if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
+            return m.bonds[cut - 1].values
+    blocks = [site.as_array() for site in m.sites]
+    for n, spec in enumerate(m.bonds or ()):
+        if spec is not None:
+            blocks[n] = blocks[n] * spec.values
+    mirror = [g.transpose(0, 2, 1) for g in reversed(blocks[cut:])]
+    s = np.linalg.svd(qr_weight(blocks[:cut]) @ qr_weight(mirror).T, compute_uv=False)
+    return s[: int(np.count_nonzero(s > 1e-12 * s[0]))]
+
+
+def fresh(m):
+    """The same state as a new object, with nothing derived yet."""
+    return MatrixProductState(sites=m.sites, bonds=m.bonds, form=m.form, center=m.center)
+
+
+def cached_arrays(m):
+    """Every array ``m`` and its sites keep."""
+    lefts, rights = m._bond_rs
+    slices = [a for per_site in m._slices for a in per_site]
+    return [*m._chain, *slices, *lefts, *rights, *(s.data for s in m.sites),
+            *(s.as_array() for s in m.sites)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, policies, st.booleans(), st.integers(0, 2**32 - 1))
+def test_cached_queries_match_uncached_ones_in_any_order(shape, policy, truncated, seed):
+    t = unit_tensor(shape, seed)
+    states = [decompose(t, form, None)[0] for form in ("left", "right", "vidal")]
+    states.append(decompose(t, "mixed", t.ndim // 2)[0])
+    states.append(unknown_chain(shape, seed))
+    if truncated:
+        states = [truncate(m, policy)[0] for m in states]
+    # An untagged copy of a weighted state exercises weights folded into the chain.
+    states += [MatrixProductState(sites=m.sites, bonds=m.bonds) for m in states if m.bonds]
+    rng = np.random.default_rng(seed)
+    picks = [tuple(int(rng.integers(d)) for d in shape) for _ in range(8)]
+    cuts = range(1, len(shape))
+    for m in states:
+        # coefficient -> spectra -> truncate/to_dense/state_norm -> coefficient
+        first = fresh(m)
+        coefs = [coefficient(first, idx) for idx in picks]
+        spectra = [bond_spectrum(first, cut).values for cut in cuts]
+        cut_state, errors = truncate(first, policy)
+        dense, norm = to_dense(first), state_norm(first)
+        assert [coefficient(first, idx) for idx in picks] == coefs, m.form
+        for cut, got in zip(cuts, spectra):
+            assert got.tobytes() == reference_spectrum(m, cut).tobytes(), (m.form, cut)
+        bound = 1e-12 * max(1.0, float(np.linalg.norm(dense.data)))
+        array = dense.as_array()
+        for idx, c in zip(picks, coefs):
+            assert abs(c - array[idx]) <= bound, (m.form, idx)
+        # The reverse order on a second copy gives identical values.
+        second = fresh(m)
+        cut_again, errors_again = truncate(second, policy)
+        assert state_norm(second) == norm
+        assert to_dense(second).data.tobytes() == dense.data.tobytes()
+        assert [bond_spectrum(second, cut).values.tobytes() for cut in cuts] == [
+            v.tobytes() for v in spectra
+        ]
+        assert [coefficient(second, idx) for idx in picks] == coefs
+        assert errors_again == errors
+        assert to_dense(cut_again).data.tobytes() == to_dense(cut_state).data.tobytes()
+        for a in cached_arrays(first):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0

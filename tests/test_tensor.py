@@ -54,6 +54,19 @@ def test_tensor_norm_matches_euclidean():
     data = rng.standard_normal(120) + 1j * rng.standard_normal(120)
     t = tensor_new((4, 3, 5, 2), data)
     assert tensor_norm(t) == pytest.approx(np.linalg.norm(data), abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_tensor_norm_is_right_at_any_finite_scale(scale):
+    rng = np.random.default_rng(12)
+    unit = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    got = tensor_norm(tensor_new((2, 8), scale * unit))
+    assert got == pytest.approx(scale * np.linalg.norm(unit), rel=1e-13)
+
+
+def test_tensor_norm_past_the_float_range_is_inf():
+    assert tensor_norm(tensor_new((4,), np.full(4, 1e308))) == np.inf
+    assert tensor_norm(tensor_new((2,), np.zeros(2))) == 0.0
     assert tensor_norm(tensor_new((2,), [3.0, 4.0])) == pytest.approx(5.0)
     assert tensor_norm(tensor_new((2, 2), BELL)) == pytest.approx(1.0)
 
