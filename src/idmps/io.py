@@ -17,9 +17,11 @@ Every payload entry must be finite: NaN, infinities and numbers beyond
 the float range are rejected on load.
 
 The writers stream each document: a fixed skeleton with json.dump's key
-order and separators, and each [re, im] payload in chunks through the C
-encoder (json.dumps). The files are byte for byte what json.dump of the
-whole document writes, without ever building that document.
+order and separators, and each [re, im] payload in chunks of ``_CHUNK``
+pairs. A chunk's zeros share two strings and are never formatted; its
+nonzero floats go through one json.dumps call. The files are byte for
+byte what json.dump of the whole document writes, without ever building
+that document.
 
 load_tensor first tries a block reader for the layout those writers (and
 json.dump) emit: the exact header {"version": 1, "shape": [...], "data": [,
@@ -51,22 +53,36 @@ from .tensor import DenseTensor, tensor_new
 
 FILE_VERSION = 1
 
-# Entries per json.dumps call when writing a payload: large enough that
-# the C encoder does the work, small enough that no string or list of a
-# whole payload is ever built.
+# Pairs per chunk of a payload, rows per chunk of a CSV: a few C-level
+# passes each, and no string or list of a whole payload is ever built.
 _CHUNK = 1 << 14
+
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """json.dumps's text for each entry of the 1-D float array ``values``:
+    a zero is one of two shared strings, picked by its sign bit; the
+    nonzero entries (NaN and the infinities too) take one json.dumps call."""
+    out = _ZEROS[np.signbit(values).view(np.uint8)]
+    nonzero = np.flatnonzero(values)
+    if nonzero.size:
+        out[nonzero] = json.dumps(values[nonzero].tolist())[1:-1].split(", ")
+    return out.tolist()
 
 
 def _write_complex(fh, data: np.ndarray) -> None:
     """Write ``data`` as the JSON list [[re, im], ...], byte for byte what
-    json.dump writes for it, a chunk of entries at a time through the
-    C encoder."""
-    pairs = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
+    json.dump writes for it, ``_CHUNK`` pairs at a time."""
+    flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
     fh.write("[")
-    for start in range(0, len(pairs), _CHUNK):
-        if start:
-            fh.write(", ")
-        fh.write(json.dumps(pairs[start : start + _CHUNK].tolist())[1:-1])
+    for start in range(0, len(flat), 2 * _CHUNK):
+        texts = _texts(flat[start : start + 2 * _CHUNK])
+        parts = [None, ", ", None, "], ["] * (len(texts) // 2)
+        parts[0::2] = texts
+        parts[-1] = "]"
+        fh.write(", [" if start else "[")
+        fh.write("".join(parts))
     fh.write("]")
 
 

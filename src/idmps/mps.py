@@ -41,6 +41,7 @@ This module owns the form tag: ``MatrixProductState.tag`` writes it
 for the CLI's ``--form`` and for MPS files alike.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -647,8 +648,11 @@ def entanglement_entropy(m: MatrixProductState, cut: int) -> float:
 
 
 def _phys_slice(slices, k, n: int) -> np.ndarray:
-    """Entry ``k`` of site ``n``'s per-physical-index matrices."""
-    i = int(k)
+    """Entry ``k`` of site ``n``'s per-physical-index matrices; ``k`` is an integer, NumPy's too."""
+    try:
+        i = operator.index(k)
+    except TypeError:
+        raise IndexOutOfRange(f"physical index {k!r} at site {n} is not an integer") from None
     if not 0 <= i < len(slices):
         raise IndexOutOfRange(f"physical index {k} outside 0..{len(slices) - 1} at site {n}")
     return slices[i]

@@ -1,7 +1,7 @@
 """File formats: the streamed writers against json.dump of the whole
-document, bulk decoding, the tensor block reader against the json.load
-path, rejection of malformed or non-finite payloads, and the oscillator
-CSV against csv.writer."""
+document and their peak memory, bulk decoding, the tensor block reader
+against the json.load path, rejection of malformed or non-finite
+payloads, and the oscillator CSV against csv.writer."""
 
 import csv
 import io
@@ -137,6 +137,33 @@ def test_save_mps_matches_json_dump(tmp_path, length, bonds, real):
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+# Few values, so that payloads repeat them: the zeros, the float extremes,
+# NaN of either sign and the infinities, and a couple of ordinary numbers.
+POOL = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        np.nan, -np.nan, np.inf, -np.inf, 0.1, -2.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([0, 1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3]),
+    st.lists(st.one_of(st.sampled_from(POOL), finite_floats), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_write_complex_is_json_dumps_for_repeated_and_special_values(
+    tmp_path_factory, length, pool, seed
+):
+    flat = np.random.default_rng(seed).choice(np.array(pool), size=2 * length)
+    buf = io.StringIO()
+    _write_complex(buf, flat.view(complex))
+    assert buf.getvalue() == json.dumps(flat.reshape(-1, 2).tolist())
+    if length:
+        data = np.where(np.isfinite(flat), flat, 0.5).view(complex)
+        site = SiteTensor(length, 1, 1, data)
+        path = tmp_path_factory.mktemp("pool") / "m.json"
+        save_mps(str(path), MatrixProductState(sites=(site, site)))
+        for back in load_mps(str(path)).sites:
+            assert back.data.view(np.uint64).tolist() == data.view(np.uint64).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,6 +301,29 @@ def test_block_reader_peak_memory(tmp_path):
     assert peak <= 2 * path.stat().st_size
 
 
+def test_save_mps_peak_memory_does_not_grow_with_the_payload(tmp_path):
+    """A 744k-entry site that is 87 % zeros, the oscillator's middle site,
+    saves within a fixed 3 MiB of traced memory: the writer holds one
+    chunk of texts at a time, and every zero shares one string. A list of
+    the whole payload (12 MB of references alone) or a string per entry
+    would exceed it."""
+    rng = np.random.default_rng(12)
+    data = np.zeros(200 * 61 * 61, dtype=complex)
+    data.real[::4] = rng.standard_normal(data.size // 4)
+    edge = np.ones(200 * 61, dtype=complex)
+    m = MatrixProductState(
+        sites=(SiteTensor(200, 1, 61, edge), SiteTensor(200, 61, 61, data), SiteTensor(200, 61, 1, edge))
+    )
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save_mps(str(path), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20
+
+
 def _write_tensor_doc(path, data) -> str:
     path.write_text(json.dumps({"version": 1, "shape": [len(data)], "data": data}))
     return str(path)
@@ -342,7 +392,11 @@ OSCILLATORS = [
 ]
 
 
-@pytest.mark.parametrize("kw", OSCILLATORS)
+# n=12, d=200: 91 A2 lanes give 18200 rows, more than one writer chunk.
+SPANS_CHUNKS = dict(n=12, omega_tilde=1.1, theta=0.3, phi=1.9, varphi=0.6, phys_cutoff=200)
+
+
+@pytest.mark.parametrize("kw", [*OSCILLATORS, SPANS_CHUNKS])
 def test_oscillator_csv_matches_csv_writer(tmp_path, capsys, kw):
     out_csv = tmp_path / "osc.csv"
     argv = ["oscillator", "--n", str(kw["n"]), "--omega-tilde", repr(kw["omega_tilde"]),

@@ -685,6 +685,20 @@ def test_coefficient_names_the_leftmost_bad_index():
         coefficient(m, (-1, 9, 2))
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, "1"], ids=["fraction", "integral-float", "string"])
+def test_coefficient_rejects_a_non_integer_index(bad):
+    m = from_dense_right_canonical(ghz_tensor())
+    with pytest.raises(IndexOutOfRange, match=rf"index {bad!r} at site 2 is not an integer$"):
+        coefficient(m, (0, bad, 0))
+    with pytest.raises(IndexOutOfRange, match=rf"index {bad!r} at site 1 is not an integer$"):
+        apply_site_map(m, 1, np.ones(2), bad)
+
+
+def test_coefficient_takes_numpy_integers():
+    m = from_dense_right_canonical(ghz_tensor())
+    assert coefficient(m, (np.int64(1), np.int32(1), np.uint8(1))) == coefficient(m, (1, 1, 1))
+
+
 def test_apply_site_map_identity_and_zero_slices():
     ident = SiteTensor(1, 2, 2, np.eye(2, dtype=complex).reshape(-1))
     end_l = SiteTensor(2, 1, 2, np.array([1, 0, 0, 1], dtype=complex))
