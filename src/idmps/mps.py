@@ -17,17 +17,18 @@ dense data (TT-SVD), which is the left-canonical form. The others move
 its weight back along the chain with a site-level SVD step on the site
 tensors: the right form after a full back-sweep, the mixed form after
 the steps down to its center, the Vidal form after a full back-sweep
-that records every bond's weights. Alongside the state, ``decompose``
-returns the sweep's own record of every cut (``CutDiagnostics``): the
-singular values its SVD found there, how many the policy kept, and the
-weight it discarded. Those discarded weights add in quadrature to the
-distance between the input and the returned state. Truncation, of any
-form, uses the same site step. A state and its site arrays are immutable
-(the arrays are read-only), so a state keeps what its queries derive,
-built on first use: the chain with its stored weights folded in, and
-the R factors of one QR sweep from each end. Schmidt spectra of bonds
-without stored weights need no SVD step: those QR gauge moves leave the
-bond's weight in one small matrix, whose singular values are the
+that records every bond's weights. One rule decides every cut of every
+sweep and returns its record (``CutDiagnostics``): the singular values
+the SVD found there, how many the policy kept, and the weight it
+discarded; ``decompose`` returns the dense sweep's records, whose
+discarded weights add in quadrature to the distance between the input
+and the returned state. Truncation, of any form, runs the same site
+step after one left-normalizing QR sweep. A state keeps read-only
+copies of its arrays, so it also keeps what its queries derive, built
+on first use: the chain with its stored weights folded in, and the R
+factors of that same QR sweep run from each end. Schmidt spectra of
+bonds without stored weights need no SVD step: those gauge moves leave
+the bond's weight in one small matrix, whose singular values are the
 spectrum. The first such query on a state costs the two sweeps, each
 later cut one small values-only SVD. No operation here expands a chain
 back into a dense tensor except ``to_dense`` itself. Without truncation
@@ -49,8 +50,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    CenterOutOfRange, CutOutOfRange, DimChainBroken, FormMismatch, IndexOutOfRange,
-    LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
+    CenterOutOfRange, ConvergenceFailure, CutOutOfRange, DimChainBroken, FormMismatch,
+    IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
@@ -63,8 +64,8 @@ class SiteTensor:
     """One site's three-index block M^{(k)}_{a_left, a_right}.
 
     ``data`` is flat with entry (k, a_left, a_right) at index
-    (k * left_dim + a_left) * right_dim + a_right. It is read-only, as is
-    the shaped view ``as_array`` returns.
+    (k * left_dim + a_left) * right_dim + a_right. It is a read-only copy
+    of the array given, as is the shaped view ``as_array`` returns.
     """
 
     phys_dim: int
@@ -77,7 +78,7 @@ class SiteTensor:
             raise ShapeMismatch(
                 f"site dims must be >= 1, got ({self.phys_dim}, {self.left_dim}, {self.right_dim})"
             )
-        flat = np.asarray(self.data, dtype=complex).reshape(-1)
+        flat = np.array(self.data, dtype=complex, order="C").reshape(-1)
         expected = self.phys_dim * self.left_dim * self.right_dim
         if flat.size != expected:
             raise ShapeMismatch(f"site data length {flat.size}, expected {expected}")
@@ -91,19 +92,19 @@ class SiteTensor:
 
 @dataclass(frozen=True)
 class BondSpectrum:
-    """Positive, nonincreasing weight vector sitting on one bond."""
+    """Positive, nonincreasing weight vector on one bond; ``values`` is a read-only copy."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        vals = np.array(self.values, dtype=float).reshape(-1)
         if vals.size == 0 or np.any(vals <= 0.0):
             raise ValueError("bond spectrum must be nonempty and strictly positive")
         if np.any(np.diff(vals) > 0.0):
             raise ValueError("bond spectrum must be nonincreasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("bond spectrum must be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,9 @@ class MatrixProductState:
 
     @cached_property
     def _bond_rs(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """``_qr_rs`` over the chain and over its mirror: either side of any
-        cut is an isometry times one of these R factors."""
-        return _qr_rs(self._chain[:-1]), _qr_rs(_mirror(self._chain[1:]))
+        """The R factors of ``_qr_sweep`` over the chain and over its mirror:
+        either side of any cut is an isometry times one of them."""
+        return _qr_sweep(list(self._chain)), _qr_sweep(_mirror(self._chain))
 
 
 def parse_form_tag(tag) -> tuple[str, int | None]:
@@ -247,12 +248,13 @@ class GaugeReport:
 
 @dataclass(frozen=True)
 class CutDiagnostics:
-    """What the dense sweep did at one cut.
+    """What a sweep did at one cut.
 
     ``spectrum`` holds the singular values its SVD found there, after the
-    rank cut (without truncation, that cut's Schmidt coefficients of the
-    input), ``kept`` how many of them the policy kept, and ``discarded``
-    the dropped weight sqrt(sum of spectrum[kept:]^2).
+    rank cut (for the dense sweep without truncation, that cut's Schmidt
+    coefficients of the input), ``kept`` how many of them the policy
+    kept, and ``discarded`` the dropped weight sqrt(sum of
+    spectrum[kept:]^2).
     """
 
     spectrum: np.ndarray
@@ -260,18 +262,20 @@ class CutDiagnostics:
     discarded: float
 
 
-def _policy_keep(s: np.ndarray, policy: TruncationPolicy | None) -> int:
-    """Number of values to retain from a nonincreasing list under ``policy``."""
+def _cut(s: np.ndarray, policy: TruncationPolicy | None) -> CutDiagnostics:
+    """The record of one cut with nonincreasing values ``s``: ``policy``
+    (None keeps all) keeps at least one; no values means a zero state."""
+    if s.size == 0:
+        raise ZeroState("the state is zero")
     keep = int(s.size)
-    if policy is None:
-        return keep
-    if policy.max_bond is not None:
-        keep = min(keep, policy.max_bond)
-    if policy.weight_tol is not None:
-        tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
-        allowed = np.nonzero(tails <= policy.weight_tol)[0]
-        keep = min(keep, int(allowed[0]) if allowed.size else int(s.size))
-    return max(keep, 1)
+    if policy is not None:
+        if policy.max_bond is not None:
+            keep = min(keep, policy.max_bond)
+        if policy.weight_tol is not None:
+            tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
+            allowed = np.nonzero(tails <= policy.weight_tol)[0]
+            keep = max(min(keep, int(allowed[0]) if allowed.size else keep), 1)
+    return CutDiagnostics(s, keep, low_rank_error(s, keep))
 
 
 def _check_nonzero(data: np.ndarray) -> None:
@@ -290,8 +294,8 @@ def _dense_sweep(
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
         res = svd(m.reshape(m.shape[0] * d, -1), rank_tol)
-        keep = _policy_keep(res.s, policy)
-        cuts.append(CutDiagnostics(res.s, keep, low_rank_error(res.s, keep)))
+        cuts.append(_cut(res.s, policy))
+        keep = cuts[-1].kept
         blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
         m = res.s[:keep, None] * res.vh[:keep]
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
@@ -301,26 +305,23 @@ def _dense_sweep(
 def _sweep_left(
     blocks: list[np.ndarray], stop: int = 0,
     policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL,
-) -> list[tuple[np.ndarray, float]]:
+) -> list[CutDiagnostics]:
     """Move the weight from the last block onto block ``stop`` (0-based),
     one site step per bond.
 
     The step SVDs block n across its left bond, leaves the right isometry
-    Vh there and absorbs U S into block n-1. Its kept singular values are
-    the Schmidt values of that bond whenever blocks 0..n-1 are left
-    isometries. Returns (kept values, discarded weight) per step, last
-    bond first.
+    Vh there and absorbs U S into block n-1. Its singular values are the
+    Schmidt values of that bond whenever blocks 0..n-1 are left
+    isometries. Returns each step's record, last bond first.
     """
     steps = []
     for n in range(len(blocks) - 1, stop, -1):
         d, left, right = blocks[n].shape
         res = svd(blocks[n].transpose(1, 0, 2).reshape(left, d * right), rank_tol)
-        if res.rank == 0:
-            raise ZeroState("the state is zero")
-        keep = _policy_keep(res.s, policy)
+        steps.append(_cut(res.s, policy))
+        keep = steps[-1].kept
         blocks[n] = res.vh[:keep].reshape(keep, d, right).transpose(1, 0, 2)
         blocks[n - 1] = blocks[n - 1] @ (res.u[:, :keep] * res.s[:keep])
-        steps.append((res.s[:keep], low_rank_error(res.s, keep)))
     return steps
 
 
@@ -339,6 +340,12 @@ def _state(
     blocks: list[np.ndarray], form: str,
     bonds: tuple[BondSpectrum | None, ...] | None = None, center: int | None = None,
 ) -> MatrixProductState:
+    """The state of a sweep's blocks; a block that is not finite (dividing
+    by subnormal weights leaves one) raises ConvergenceFailure."""
+    if not all(np.isfinite(g).all() for g in blocks):
+        weights = [b.values[-1] for b in bonds or () if b is not None]
+        least = f" after division by bond weights as small as {min(weights):.3g}" if weights else ""
+        raise ConvergenceFailure(f"a {form} site tensor is not finite{least}")
     sites = tuple(SiteTensor(*g.shape, g) for g in blocks)
     return MatrixProductState(sites=sites, bonds=bonds, form=form, center=center)
 
@@ -350,8 +357,9 @@ def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
     exact Schmidt values of the final state; each Gamma is the block
     left by the sweep divided by its right-bond weights.
     """
-    lams = [s for s, _ in _sweep_left(blocks, 0, None, rank_tol)][::-1]
-    gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
+    lams = [cut.spectrum for cut in _sweep_left(blocks, 0, None, rank_tol)][::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite Gamma
+        gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
     return _state(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
 
 
@@ -384,9 +392,10 @@ def decompose(
         return _state(blocks, "right"), cuts
     if form == "vidal":
         return _vidal(blocks, rank_tol), cuts
-    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1][0]
+    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1].spectrum
     # The last step absorbed U S into the center site; U alone is left-normalized.
-    blocks[center - 1] = blocks[center - 1] / weights
+    with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite site
+        blocks[center - 1] = blocks[center - 1] / weights
     bonds: list[BondSpectrum | None] = [None] * (t.ndim - 1)
     bonds[center - 1] = BondSpectrum(weights)
     return _state(blocks, "mixed", tuple(bonds), center), cuts
@@ -582,10 +591,10 @@ def truncate(
         raise PolicyEmpty("truncate needs a policy")
     blocks = m._chain
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
-        lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
-        keeps = [_policy_keep(lam, policy) for lam in lams]
-        errors = [low_rank_error(lam, keep) for lam, keep in zip(lams, keeps)]
-        if keeps == [lam.size for lam in lams]:
+        cuts = [_cut(b.values, policy) for b in m.bonds]  # type: ignore[union-attr]
+        errors = [cut.discarded for cut in cuts]
+        keeps = [cut.kept for cut in cuts]
+        if keeps == [cut.spectrum.size for cut in cuts]:
             return m, errors
         blocks = [g[:, :left, :right] for g, left, right in zip(blocks, [1] + keeps, keeps + [1])]
         policy = None
@@ -594,29 +603,22 @@ def truncate(
     _check_nonzero(mirror[-1])  # site 1's block now carries the whole state
     steps = _sweep_left(mirror, 0, policy)
     if policy is not None:
-        errors = [err for _, err in steps]
+        errors = [cut.discarded for cut in steps]
     return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
 
 
-def _qr_sweep(blocks: list[np.ndarray]) -> None:
+def _qr_sweep(blocks: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Left-normalize blocks 0..N-2 in place by a QR sweep that carries
     each step's R into the next block; the last block ends up carrying
-    the whole state."""
+    the whole state. Returns the read-only R of each step: the input's
+    blocks 0..j are a left isometry times R_j."""
+    rs = []
     for n in range(len(blocks) - 1):
         g = blocks[n]
         q, r = np.linalg.qr(g.reshape(-1, g.shape[2]))
         blocks[n] = q.reshape(g.shape[0], g.shape[1], -1)
         blocks[n + 1] = np.matmul(r, blocks[n + 1])
-
-
-def _qr_rs(blocks) -> tuple[np.ndarray, ...]:
-    """R after each step of a left-normalizing QR sweep that carries each
-    step's R into the next block: blocks 0..j are a left isometry times R_j."""
-    rs, r = [], np.ones((1, 1), dtype=complex)
-    for g in blocks:
-        g = np.matmul(r, g)
-        r = _frozen(np.linalg.qr(g.reshape(-1, g.shape[2]), mode="r"))
-        rs.append(r)
+        rs.append(_frozen(r))
     return tuple(rs)
 
 
@@ -637,9 +639,7 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     lefts, rights = m._bond_rs
     weight = lefts[cut - 1] @ rights[-cut].T
     s, rank = _lapack_svd(weight, False, DEFAULT_RANK_TOL)
-    if rank == 0:
-        raise ZeroState("the state is zero")
-    return BondSpectrum(s[:rank])
+    return BondSpectrum(_cut(s[:rank], None).spectrum)
 
 
 def entanglement_entropy(m: MatrixProductState, cut: int) -> float:

@@ -438,6 +438,36 @@ def test_overflowing_svd_exit_2_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def write_subnormal(tmp_path):
+    # The one nonzero entry is the only weight; 1 / 1e-320 overflows a double.
+    src = tmp_path / "tiny.json"
+    src.write_text('{"version": 1, "shape": [2, 2], "data": [[1e-320, 0.0], [0.0, 0.0], '
+                   '[0.0, 0.0], [0.0, 0.0]]}')
+    return src
+
+
+@pytest.mark.parametrize("form", ["vidal", "mixed:1"])
+def test_weight_division_overflow_exit_2_without_a_file(tmp_path, form):
+    out = tmp_path / "m.json"
+    proc = run_cli_process("decompose", str(write_subnormal(tmp_path)), "--form", form, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure:") and "1e-320" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["left", "right"])
+def test_subnormal_tensor_left_and_right_files_pass_verify(tmp_path, form):
+    out = tmp_path / "m.json"
+    proc = run_cli_process("decompose", str(write_subnormal(tmp_path)), "--form", form, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    proc = run_cli_process("verify", str(out))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["passed"] is True
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_reconstruct_reports_norm_and_residual_at_any_scale(tmp_path, scale):
     # The plain sum of squares overflows at 1e200 and underflows at 1e-200.

@@ -107,6 +107,28 @@ def test_bond_spectrum_rejects_non_finite_values():
             BondSpectrum(values)
 
 
+def test_a_state_owns_copies_of_its_arrays():
+    a = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    b = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+    lam = np.array([0.8, 0.6])
+    m = MatrixProductState(
+        sites=(SiteTensor(2, 1, 2, a), SiteTensor(2, 2, 1, b)), bonds=(BondSpectrum(lam),)
+    )
+    indices = list(np.ndindex(2, 2))
+    coefs = [coefficient(m, idx) for idx in indices]
+    spectrum = bond_spectrum(m, 1).values.copy()
+    a[:], b[:], lam[0] = 5.0, 5.0, -5.0
+    assert m.sites[0].data.tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert m.sites[1].data.tolist() == [0.6, 0.0, 0.0, 0.8]
+    assert m.bonds[0].values.tolist() == [0.8, 0.6]
+    assert [coefficient(m, idx) for idx in indices] == coefs
+    assert bond_spectrum(m, 1).values.tobytes() == spectrum.tobytes()
+    vidal = from_dense_vidal(random_tensor(np.random.default_rng(3), (2, 2, 2)))
+    for values in (m.bonds[0].values, vidal.bonds[0].values):
+        with pytest.raises(ValueError):
+            values[0] *= 2
+
+
 def test_truncation_policy_validation():
     with pytest.raises(PolicyEmpty):
         TruncationPolicy()

@@ -1,8 +1,11 @@
+import ast
 import re
 import types
 from pathlib import Path
 
 import idmps
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "idmps").glob("*.py"))
 
 
 def test_all_names_resolve_and_exclude_modules():
@@ -18,3 +21,44 @@ def test_readme_api_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.count("True") == 2  # the two verify(...).passed lines
+
+
+def names_read(tree):
+    """Every bare name ``tree`` reads (docstring text is not a read)."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def test_every_import_is_used():
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in used, f"{path.name} imports {bound} and never uses it"
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced = set().union(*(
+        names_read(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for tree in trees.values()
+    ))
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__"):
+                    assert private in referenced, f"{name} defines {private} and nothing uses it"
