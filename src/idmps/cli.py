@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceFailure, FormMismatch, IdmpsError, ZeroState
-from .io import _CHUNK, _texts, load_mps, load_tensor, save_mps, save_tensor
+from .io import _texts, load_mps, load_tensor, save_mps, save_tensor
 from .mps import TruncationPolicy, decompose, parse_form_tag, state_norm, to_dense, verify
 from .oscillator import OscillatorParams, _decay_columns, build_bundle
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, tensor_norm
@@ -111,23 +111,21 @@ def _write_decay_csv(path: str, bundle) -> None:
     """The element-decay rows of A1, A2 and A3 as CSV, in the dialect
     csv.writer uses (comma-separated, CRLF line ends), each magnitude (a
     finite float) as its repr. Each distinct magnitude is formatted once,
-    and the rows are joined and written ``_CHUNK`` at a time."""
+    and each ``_decay_columns`` block of rows is joined and written whole."""
     ints = [f"{i}," for i in range(max(bundle.params.n + 1, bundle.params.phys_cutoff))]
     mags = {}  # magnitude bits -> text
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("which,a,b,k,magnitude\r\n")
         for which in ("A1", "A2", "A3"):
-            *lanes, mag = _decay_columns(bundle, which)
-            for start in range(0, len(mag), _CHUNK):
-                rows = slice(start, start + _CHUNK)
-                bits = mag[rows].view(np.uint64).tolist()
+            for *lanes, mag in _decay_columns(bundle, which):
+                bits = mag.view(np.uint64).tolist()
                 unseen = [b for b in dict.fromkeys(bits) if b not in mags]
                 mags.update(zip(unseen, _texts(np.array(unseen, dtype=np.uint64).view(float))))
                 # which, a, b, k, magnitude, CRLF; an absent lane stays an empty field.
                 parts = [which + ",", ",", ",", None, None, "\r\n"] * len(bits)
                 for j, lane in enumerate(lanes, start=1):
                     if lane is not None:
-                        parts[j::6] = map(ints.__getitem__, lane[rows].tolist())
+                        parts[j::6] = map(ints.__getitem__, lane.tolist())
                 parts[4::6] = map(mags.__getitem__, bits)
                 fh.write("".join(parts))
 

@@ -57,6 +57,7 @@ from .schmidt import entropy_from_values
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
+_SLAB = 1 << 16  # block entries per step of _transfer
 
 
 @dataclass(frozen=True)
@@ -448,10 +449,15 @@ def to_dense(m: MatrixProductState) -> DenseTensor:
 
 def _transfer(env: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     """sum_k g[k]^+ env g[k] for a (phys, left, right) block g: the left
-    environment ``env`` (None for the identity) carried across one site."""
-    flat = block.reshape(-1, block.shape[2])
-    carried = flat if env is None else np.matmul(env, block).reshape(flat.shape)
-    return flat.conj().T @ carried
+    environment ``env`` (None for the identity) carried across one site,
+    summed over slabs of k of at most ``_SLAB`` entries (or one k)."""
+    out, right, step = None, block.shape[2], max(1, _SLAB // block[0].size)
+    for g in np.split(block, range(step, len(block), step)):
+        flat = g.reshape(-1, right)
+        carried = flat if env is None else np.matmul(env, g).reshape(flat.shape)
+        term = flat.conj().T @ carried
+        out = term if out is None else operator.iadd(out, term)
+    return out
 
 
 def _gram_residuals(blocks: list[np.ndarray], chained: bool = False) -> list[float]:
@@ -477,7 +483,7 @@ def site_right_residual(site: SiteTensor) -> float:
 
 def state_norm(m: MatrixProductState) -> float:
     """Euclidean norm of the state, from the chain contracted with its
-    conjugate site by site (the dense tensor is never built)."""
+    conjugate in ``_transfer``'s slabs (no dense tensor, no site copy)."""
     env = None
     for block in m._chain:
         env = _transfer(env, block)

@@ -27,11 +27,12 @@ quadrature on the bounded f_k recurrence; the paper's closed form stays a formul
 import functools
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb, exp, factorial, ldexp, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, isfinite, ldexp, lgamma, log, pi, sqrt
 
 import numpy as np
 
 from .errors import DegreeTooLarge, IndexOutOfRange, InsufficientNodes
+from .io import _CHUNK
 from .mps import MatrixProductState, SiteTensor, to_dense
 from .tensor import DenseTensor
 
@@ -244,7 +245,8 @@ def integral_I_quadrature(
     Substituting y = x sqrt((1+w)/2) turns the weight into e^{-y^2}
     with a polynomial integrand of degree i+j, so ``points`` nodes are
     exact once 2*points - 1 >= i + j; the whole rule runs in long
-    double so near-cancelling entries keep ~1e-10 relative accuracy.
+    double so near-cancelling entries keep ~1e-10 relative accuracy; a
+    result that is not a finite double raises DegreeTooLarge.
     """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
@@ -266,7 +268,9 @@ def integral_I_quadrature(
     total = np.sum(terms[:half] + terms[::-1][:half])
     if points % 2:
         total += terms[half]
-    return float(total / scale)
+    if not isfinite(out := float(total / scale)):
+        raise DegreeTooLarge(f"quadrature of I_{{{i},{j}}} leaves the double-precision range")
+    return out
 
 
 def _binomial_weight(k: int, params: OscillatorParams, mode: int, name: str) -> float:
@@ -405,28 +409,29 @@ def wavefunction_direct(
     return float(total)
 
 
-def _decay_columns(
-    bundle: OscillatorMpsBundle, which: str
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
-    """The a, b, k and magnitude columns of ``element_decay_table``, in
-    its row order (lane by lane, physical index fastest); a lane index
-    the table does not carry is None."""
+def _decay_columns(bundle: OscillatorMpsBundle, which: str):
+    """The a, b, k and magnitude columns of ``element_decay_table`` in its
+    row order (lane by lane, physical index fastest), in blocks of whole
+    lanes of at most ``_CHUNK`` rows (or one lane); absent lanes are None."""
     n, d = bundle.params.n, bundle.params.phys_cutoff
     lanes = np.arange(n + 1)
     if which == "A1":
-        a, b = lanes, None
-        table = bundle.a1[:, : n + 1]
+        a, b, table, cols = lanes, None, bundle.a1, lanes
     elif which == "A2":
         a, b = np.nonzero(np.add.outer(lanes, lanes) <= n)
-        table = bundle.a2[:, a, b]
+        table, cols = bundle.a2.reshape(d, -1), a * (n + 1) + b
     elif which == "A3":
-        a = None
         b = np.array([j for j in range(n + 1) if gamma(j, bundle.params) != 0.0], dtype=int)
-        table = bundle.a3[:, b]
+        a, table, cols = None, bundle.a3, b
     else:
         raise ValueError(f"which must be 'A1', 'A2' or 'A3', got {which!r}")
-    a, b = (None if lane is None else np.repeat(lane, d) for lane in (a, b))
-    return a, b, np.tile(np.arange(d), table.shape[1]), np.abs(table).T.reshape(-1)
+    step = max(1, _CHUNK // d)
+    for rows in np.split(np.arange(len(cols)), range(step, len(cols), step)):
+        yield (
+            *(None if lane is None else np.repeat(lane[rows], d) for lane in (a, b)),
+            np.tile(np.arange(d), len(rows)),
+            np.abs(table[:, cols[rows]]).T.reshape(-1),
+        )
 
 
 def element_decay_table(bundle: OscillatorMpsBundle, which: str) -> list[dict]:
@@ -436,11 +441,12 @@ def element_decay_table(bundle: OscillatorMpsBundle, which: str) -> list[dict]:
     magnitude; lanes that are identically zero are omitted. This is the
     data behind the element-decay plots.
     """
-    a, b, k, mag = _decay_columns(bundle, which)
-    lanes = [repeat(None) if lane is None else lane.tolist() for lane in (a, b)]
     return [
         {"which": which, "a": ai, "b": bi, "k": ki, "magnitude": mi}
-        for ai, bi, ki, mi in zip(*lanes, k.tolist(), mag.tolist())
+        for *lanes, k, mag in _decay_columns(bundle, which)
+        for ai, bi, ki, mi in zip(
+            *(repeat(None) if x is None else x.tolist() for x in lanes), k.tolist(), mag.tolist()
+        )
     ]
 
 

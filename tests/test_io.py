@@ -31,7 +31,7 @@ from idmps import (
     tensor_new,
 )
 import idmps.io
-from idmps.cli import main
+from idmps.cli import _write_decay_csv, main
 from idmps.io import _CHUNK, _write_complex
 
 LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
@@ -407,6 +407,22 @@ def test_oscillator_csv_matches_csv_writer(tmp_path, capsys, kw):
     capsys.readouterr()
     with open(out_csv, newline="", encoding="utf-8") as fh:
         assert fh.read() == _reference_csv(build_bundle(OscillatorParams(**kw)))
+
+
+def test_decay_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
+    """The n=60, d=200 table (402,601 rows) writes within a fixed 5 MiB
+    of traced memory: rows come one block of lanes at a time, and only
+    the distinct magnitudes' texts are kept. Full-length columns (3.2 MB
+    each) or the whole A2 table gathered at once would exceed it."""
+    params = OscillatorParams(n=60, omega_tilde=1.7, theta=0.9, phi=2.1, varphi=0.4, phys_cutoff=200)
+    bundle = build_bundle(params)
+    tracemalloc.start()
+    try:
+        _write_decay_csv(str(tmp_path / "osc.csv"), bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20
 
 
 @pytest.mark.parametrize("kw", OSCILLATORS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -779,3 +781,26 @@ def test_state_norm_matches_dense_norm_on_every_form():
         states.append(("unknown", MatrixProductState(sites=sites)))
         for name, m in states:
             assert state_norm(m) == pytest.approx(tensor_norm(to_dense(m)), rel=1e-12), (name, shape)
+
+
+def test_norm_and_residuals_peak_memory_does_not_grow_with_the_site():
+    """A (200, 61, 61) site, the oscillator's middle site at 11.9 MB,
+    contracts within a fixed 3 MiB of traced memory: the transfer step
+    holds one slab of physical indices at a time. A copy of the whole
+    block, as its conjugate or its product with the environment, would
+    exceed it."""
+    rng = np.random.default_rng(47)
+    size = 200 * 61 * 61
+    data = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    edge = np.ones(200 * 61, dtype=complex)
+    m = MatrixProductState(
+        sites=(SiteTensor(200, 1, 61, edge), SiteTensor(200, 61, 61, data), SiteTensor(200, 61, 1, edge))
+    )
+    for query, arg in [(state_norm, m), (site_left_residual, m.sites[1]), (site_right_residual, m.sites[1])]:
+        tracemalloc.start()
+        try:
+            query(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20, (query.__name__, peak)

@@ -152,20 +152,33 @@ def test_integral_closed_vs_quadrature():
 @example(150, 100, 10.0)
 @example(60, 40, 0.1)
 @example(114, 200, 1.0)
+@example(114, 200, 1.0001)
+@example(200, 200, 0.37)
 def test_integral_closed_form_is_exact_over_the_whole_degree_range(i, j, w):
-    quad = integral_I_quadrature(i, j, w, points=(i + j) // 2 + 2)
     try:
         closed = integral_I_closed(i, j, w)
     except DegreeTooLarge:
-        assert not abs(quad) < 1.7976931348623157e308, (i, j, w, quad)
+        with pytest.raises(DegreeTooLarge):
+            integral_I_quadrature(i, j, w, points=(i + j) // 2 + 2)
         return
-    if not np.isfinite(quad):
+    try:
+        quad = integral_I_quadrature(i, j, w, points=(i + j) // 2 + 2)
+    except DegreeTooLarge:
         # Near w = 1 at high degree the rule's long-double terms cancel from
         # beyond the double range and leave no reference; the overlap itself
         # is then below the tolerance (at w = 1 it is exactly 0 for i != j).
         assert abs(coeff_C(i, j, w) * closed) <= 1e-12, (i, j, w)
         return
     assert abs(coeff_C(i, j, w) * (closed - quad)) <= 1e-12, (i, j, w)
+
+
+@pytest.mark.parametrize("i, j, w", [(114, 200, 1.0), (114, 200, 1.0001), (200, 200, 0.37)])
+def test_integral_quadrature_raises_where_its_result_is_not_finite(i, j, w):
+    """I is 0 at the first point and 5.45e171 at the second, but the rule's
+    terms cancel from beyond the long-double range; at the third |I|
+    itself leaves the double range. None of them may come back as ±inf."""
+    with pytest.raises(DegreeTooLarge, match="double-precision range"):
+        integral_I_quadrature(i, j, w, points=(i + j) // 2 + 2)
 
 
 def test_integral_closed_form_raises_where_the_integral_overflows():

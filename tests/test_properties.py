@@ -1,10 +1,13 @@
 """Property tests over random shapes and truncation policies."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idmps.mps
 from idmps import (
     MatrixProductState,
     SiteTensor,
@@ -18,6 +21,8 @@ from idmps import (
     from_dense_vidal,
     low_rank_error,
     schmidt_decompose,
+    site_left_residual,
+    site_right_residual,
     state_norm,
     tensor_new,
     to_dense,
@@ -262,3 +267,39 @@ def test_cached_queries_match_uncached_ones_in_any_order(shape, policy, truncate
         for a in cached_arrays(first):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.lists(st.integers(1, 48), min_size=0, max_size=2),
+    st.sampled_from([None, 1, 97, 4096]),
+    st.integers(0, 2**32 - 1),
+)
+# The module's own slab with a 64 x 48 x 48 middle site: 2.25 slabs.
+@example(64, [48, 48], None, 0)
+def test_sliced_transfer_matches_whole_block_references(d, bonds, slab, seed):
+    """``state_norm`` and the site residuals summed slab by slab of
+    physical indices equal the dense norm and a one-shot einsum Gram.
+    ``slab`` shrinks the slab (None keeps the module's), so small chains
+    cross it many times; the first site has no environment."""
+    rng = np.random.default_rng(seed)
+    dims = [1, *bonds, 1]
+    blocks = []
+    for left, right in zip(dims, dims[1:]):
+        g = rng.standard_normal((d, left, right)) + 1j * rng.standard_normal((d, left, right))
+        blocks.append(g / np.linalg.norm(g))
+    m = MatrixProductState(sites=tuple(SiteTensor(d, *g.shape[1:], g) for g in blocks))
+    with mock.patch.object(idmps.mps, "_SLAB", slab or idmps.mps._SLAB):
+        norm = state_norm(m)
+        residuals = [(site_left_residual(s), site_right_residual(s)) for s in m.sites]
+    assert norm == pytest.approx(np.linalg.norm(to_dense(m).data), rel=1e-12)
+    for g, (left_res, right_res) in zip(blocks, residuals):
+        left_gram = np.einsum("kab,kac->bc", g.conj(), g)
+        right_gram = np.einsum("kab,kcb->ac", g, g.conj())
+        assert abs(left_res - np.max(np.abs(left_gram - np.eye(g.shape[2])))) <= 1e-12
+        assert abs(right_res - np.max(np.abs(right_gram - np.eye(g.shape[1])))) <= 1e-12
+        if slab is None and g.size <= idmps.mps._SLAB:
+            # One slab is the whole-block product, bit for bit.
+            flat = g.reshape(-1, g.shape[2])
+            assert left_res == float(np.max(np.abs(flat.conj().T @ flat - np.eye(g.shape[2]))))
