@@ -132,12 +132,7 @@ def _write_decay_csv(path: str, bundle) -> None:
 
 def cmd_oscillator(args) -> int:
     params = OscillatorParams(
-        n=args.n,
-        omega_tilde=args.omega_tilde,
-        theta=args.theta,
-        phi=args.phi,
-        varphi=args.varphi,
-        phys_cutoff=args.phys_cutoff,
+        args.n, args.omega_tilde, args.theta, args.phi, args.varphi, args.phys_cutoff
     )
     bundle = build_bundle(params)
     save_mps(args.out_mps, bundle.mps)

@@ -46,6 +46,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -460,7 +461,7 @@ def _transfer(env: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_residuals(blocks: list[np.ndarray], chained: bool = False) -> list[float]:
+def _gram_residuals(blocks: Iterable[np.ndarray], chained: bool = False) -> list[float]:
     """max|sum_k g[k]^+ E g[k] - I| for each block g, where E is the
     identity or, when ``chained``, the left environment carried across
     the blocks before g."""
@@ -490,13 +491,11 @@ def state_norm(m: MatrixProductState) -> float:
     return float(np.sqrt(abs(env[0, 0].real)))
 
 
-def _isometry_report(
-    m: MatrixProductState, tag: str, left: int, right: int, tol: float, count_boundary: bool = False
-) -> GaugeReport:
+def _isometry_report(m: MatrixProductState, tag: str, left: int, right: int, tol: float) -> GaugeReport:
     """Sites 1..``left`` checked as left isometries, sites ``right``+1..N
     as right isometries. With right = left + 1, site ``right`` is the
     boundary site: its squared norm is the boundary scalar, and its
-    residual |scalar - 1| counts only when ``count_boundary``. With
+    residual |scalar - 1| is reported but not counted. With
     right = left, the weights on bond ``left`` give the scalar."""
     if right == left + 1:
         boundary, scalar = right, float(np.sum(np.abs(m.sites[right - 1].data) ** 2))
@@ -508,31 +507,26 @@ def _isometry_report(
         else abs(scalar - 1.0)
         for n, site in enumerate(m.sites, start=1)
     )
-    counted = [n for n in range(1, m.num_sites + 1) if n != boundary or count_boundary]
+    counted = [n for n in range(1, m.num_sites + 1) if n != boundary]
     # argmax picks the first NaN, else the first largest residual.
     worst = counted[int(np.argmax([residuals[n - 1] for n in counted]))] if counted else boundary
     passed = all(residuals[n - 1] <= tol for n in counted)
     return GaugeReport(tag, residuals, worst, boundary, scalar, passed, tol)
 
 
-def verify_left_normalized(
-    m: MatrixProductState, tol: float = 1e-10, assume_normalized: bool = False
-) -> GaugeReport:
+def verify_left_normalized(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
     """Check sites 1..N-1 against the left isometry condition.
 
     Site N carries the weights; its squared norm is reported as the
-    boundary scalar and compared against 1 only when
-    ``assume_normalized`` is set.
+    boundary scalar, never checked.
     """
-    return _isometry_report(m, "left", m.num_sites - 1, m.num_sites, tol, assume_normalized)
+    return _isometry_report(m, "left", m.num_sites - 1, m.num_sites, tol)
 
 
-def verify_right_normalized(
-    m: MatrixProductState, tol: float = 1e-10, assume_normalized: bool = False
-) -> GaugeReport:
+def verify_right_normalized(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
     """Check sites 2..N against the right isometry condition; site 1
     carries the weights (see verify_left_normalized)."""
-    return _isometry_report(m, "right", 0, 1, tol, assume_normalized)
+    return _isometry_report(m, "right", 0, 1, tol)
 
 
 def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
@@ -540,19 +534,20 @@ def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
 
     For each cut the weighted chain contractions from both ends must
     yield orthonormal vector families; the reported residual is the
-    worse of the two Gram deviations. States with fewer than two cuts
-    have no cross-bond coupling, so a lone weight vector there is only
-    constrained by the families' orthonormality.
+    worse of the two Gram deviations. The left family's blocks
+    lambda_{n-1} Gamma_n (lambda_0 = 1) are made one at a time as the
+    contraction reaches them; the right family reads the cached chain. States with
+    fewer than two cuts have no cross-bond coupling, so a lone weight
+    vector there is only constrained by the families' orthonormality.
     """
     if m.form != "vidal":
         raise FormMismatch(f"expected a vidal-form state, got {m.form!r}")
     if m.bonds is None or any(b is None for b in m.bonds):
         raise FormMismatch("vidal form needs a weight vector on every bond")
-    sites = [site.as_array() for site in m.sites]
-    lams = [b.values for b in m.bonds]  # type: ignore[union-attr]
-    left = sites[:1] + [g * lam[None, :, None] for g, lam in zip(sites[1:], lams)]
+    lams = [np.ones(1)] + [b.values for b in m.bonds]  # type: ignore[union-attr]
+    left = (site.as_array() * lam[:, None] for site, lam in zip(m.sites[:-1], lams))
     residuals = np.maximum(  # NaN-propagating, unlike max(); the chain carries the right weights
-        _gram_residuals(left[:-1], True), _gram_residuals(_mirror(m._chain)[:-1], True)[::-1]
+        _gram_residuals(left, True), _gram_residuals(_mirror(m._chain)[:-1], True)[::-1]
     )
     passed = all(residuals <= tol)
     return GaugeReport("vidal", tuple(residuals.tolist()), None, None, None, passed, tol)

@@ -82,17 +82,21 @@ class OscillatorMpsBundle:
     """The three element tables plus the assembled state.
 
     ``a1[k, a]``, ``a2[l, a, b]`` and ``a3[m, b]`` are the pure element
-    tables (a2 is exactly symmetric in its lane indices and vanishes for
-    a+b > n; a3 carries sqrt(gamma_b)). The assembled ``mps`` multiplies
-    the site-2 slices by the collective-mode mixing weights, so
-    contracting it yields the physical state.
+    tables (a3 carries sqrt(gamma_b)); only a1 and a3 are stored. The
+    assembled ``mps`` multiplies the site-2 slices by the collective-mode
+    mixing weights, so contracting it yields the physical state.
     """
 
     a1: np.ndarray
-    a2: np.ndarray
     a3: np.ndarray
     mps: MatrixProductState
     params: OscillatorParams
+
+    @property
+    def a2(self) -> np.ndarray:
+        """a2[:, a, b] = a1[:, n-a-b] for a+b <= n, else +0.0 (exactly symmetric
+        in its lane indices), built on each access: d*(n+1)^2 floats."""
+        return _lane_table(self.a1)
 
 
 def direction_cosines(params: OscillatorParams) -> tuple[float, float, float]:
@@ -320,10 +324,8 @@ def _mixing_weights(params: OscillatorParams) -> np.ndarray:
     n = params.n
     u1, u2, u3 = direction_cosines(params)
     nu3 = sqrt(max(1.0 - u3 * u3, 0.0))
-    if nu3 > 1e-150:
-        c1, c2 = u1 / nu3, u2 / nu3
-    else:
-        c1 = c2 = 0.0  # pole: only the (a, b) = (0, n) lane survives
+    # At the pole only the (a, b) = (0, n) lane survives.
+    c1, c2 = (u1 / nu3, u2 / nu3) if nu3 > 1e-150 else (0.0, 0.0)
     sgn3 = 1.0 if u3 >= 0.0 else -1.0
     out = np.zeros((n + 1, n + 1))
     for a in range(n + 1):
@@ -332,40 +334,42 @@ def _mixing_weights(params: OscillatorParams) -> np.ndarray:
     return out
 
 
+def _lane_table(a1: np.ndarray) -> np.ndarray:
+    """The table ``OscillatorMpsBundle.a2`` of a (d, n+1) table ``a1``."""
+    n = a1.shape[1] - 1
+    index = n - np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    out = a1[:, index]  # a+b > n reads a wrapped column, zeroed next
+    out[:, index < 0] = 0.0
+    return out
+
+
 def build_bundle(params: OscillatorParams) -> OscillatorMpsBundle:
     """Build the element tables and assemble the three-site MPS.
 
-    a1[k, a] = C_{k,a} I_{k,a}; a2[l, a, b] = C I at index n-a-b where
-    a+b <= n (exactly symmetric); a3[m, b] = sqrt(gamma_b) C_{m,b} I_{m,b}.
-    Site 2 of the assembled state additionally carries the mixing
+    a1[k, a] = C_{k,a} I_{k,a}; a3[m, b] = sqrt(gamma_b) C_{m,b} I_{m,b}.
+    Site 2 is the a2 table, built once and scaled in place by the mixing
     weights, so its bond spectra are sorted sqrt(alpha) and sqrt(gamma)
     once the basis cutoff resolves the state.
     """
     n, d, w = params.n, params.phys_cutoff, params.omega_tilde
-    ci = _overlap_table(d, n + 1, w)
-    a1 = ci.copy()
-    a2 = np.zeros((d, n + 1, n + 1))
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            a2[:, a, b] = ci[:, n - a - b]
+    a1 = _overlap_table(d, n + 1, w)
     gammas = np.array([gamma(b, params) for b in range(n + 1)])
-    a3 = ci * np.sqrt(gammas)[None, :]
-    weights = _mixing_weights(params)
+    a3 = a1 * np.sqrt(gammas)[None, :]
+    middle = _lane_table(a1)
+    middle *= _mixing_weights(params)
     sites = (
         SiteTensor(d, 1, n + 1, a1.reshape(d, 1, n + 1)),
-        SiteTensor(d, n + 1, n + 1, a2 * weights[None, :, :]),
+        SiteTensor(d, n + 1, n + 1, middle),
         SiteTensor(d, n + 1, 1, a3.reshape(d, n + 1, 1)),
     )
     mps = MatrixProductState(sites=sites, form="unknown")
-    return OscillatorMpsBundle(a1=a1, a2=a2, a3=a3, mps=mps, params=params)
+    return OscillatorMpsBundle(a1=a1, a3=a3, mps=mps, params=params)
 
 
 def wavefunction_mps(bundle: OscillatorMpsBundle, x1: float, x2: float, x3: float) -> float:
     """Evaluate the assembled MPS against the basis functions at one point."""
     d = bundle.params.phys_cutoff
-    f1 = _f_values(d - 1, np.asarray(x1, dtype=float))
-    f2 = _f_values(d - 1, np.asarray(x2, dtype=float))
-    f3 = _f_values(d - 1, np.asarray(x3, dtype=float))
+    f1, f2, f3 = (_f_values(d - 1, np.asarray(x, dtype=float)) for x in (x1, x2, x3))
     g1, g2, g3 = (s.as_array().real for s in bundle.mps.sites)
     v = f1 @ g1[:, 0, :]
     mid = np.einsum("k,kab->ab", f2, g2)
@@ -412,14 +416,15 @@ def wavefunction_direct(
 def _decay_columns(bundle: OscillatorMpsBundle, which: str):
     """The a, b, k and magnitude columns of ``element_decay_table`` in its
     row order (lane by lane, physical index fastest), in blocks of whole
-    lanes of at most ``_CHUNK`` rows (or one lane); absent lanes are None."""
+    lanes of at most ``_CHUNK`` rows (or one lane); absent lanes are None.
+    A2 lane (a, b) is column n-a-b of ``a1``: a2 itself is never built."""
     n, d = bundle.params.n, bundle.params.phys_cutoff
     lanes = np.arange(n + 1)
     if which == "A1":
         a, b, table, cols = lanes, None, bundle.a1, lanes
     elif which == "A2":
         a, b = np.nonzero(np.add.outer(lanes, lanes) <= n)
-        table, cols = bundle.a2.reshape(d, -1), a * (n + 1) + b
+        table, cols = bundle.a1, n - a - b
     elif which == "A3":
         b = np.array([j for j in range(n + 1) if gamma(j, bundle.params) != 0.0], dtype=int)
         a, table, cols = None, bundle.a3, b

@@ -94,7 +94,8 @@ def tensor_norm(t: DenseTensor) -> float:
     peak = float(np.max(np.abs(t.data)))
     if not 0.0 < peak < np.inf:
         return norm
-    return peak * float(np.linalg.norm(t.data / peak))
+    # The float view: complex division by a subnormal real overflows inside numpy.
+    return peak * float(np.linalg.norm(t.data.view(float) / peak))
 
 
 def _check_cut(ndim: int, cut: int) -> None:

@@ -486,6 +486,22 @@ def test_reconstruct_reports_norm_and_residual_at_any_scale(tmp_path, scale):
     assert report["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("reference", [False, True], ids=["alone", "reference"])
+def test_subnormal_left_file_reconstructs_without_a_warning(tmp_path, reference):
+    # tensor_norm rescales by the subnormal peak; a complex division by it
+    # overflowed inside numpy, and the report's norm was NaN.
+    src = write_subnormal(tmp_path)
+    mps_path = tmp_path / "m.json"
+    assert run_cli_process("decompose", str(src), "--form", "left", "--out", str(mps_path)).returncode == 0
+    extra = ["--reference", str(src)] if reference else []
+    proc = run_cli_process("reconstruct", str(mps_path), "--out", str(tmp_path / "b.json"), *extra)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["norm"] == 1e-320
+    assert report.get("residual", 0.0) <= 1e-12
+
+
 def test_reconstruct_norm_past_the_float_range_exit_2(tmp_path):
     # Four finite entries of 1e308 have a norm of 2e308.
     mps_path = tmp_path / "m.json"

@@ -187,7 +187,7 @@ def test_left_canonical_normalized_boundary():
     t = random_tensor(rng, (3, 3, 3))
     t = tensor_new(t.shape, t.data / tensor_norm(t))
     m = from_dense_left_canonical(t)
-    rep = verify_left_normalized(m, assume_normalized=True)
+    rep = verify_left_normalized(m)
     assert rep.passed
     assert rep.boundary_scalar == pytest.approx(1.0, abs=1e-10)
 
@@ -804,3 +804,20 @@ def test_norm_and_residuals_peak_memory_does_not_grow_with_the_site():
         finally:
             tracemalloc.stop()
         assert peak <= 3 << 20, (query.__name__, peak)
+
+
+def test_verify_vidal_peak_memory_holds_one_weighted_block_at_a_time():
+    """A fresh full-rank d=2, N=16 Vidal state (2.7 MiB of sites) verifies
+    within 7.5 MiB of traced memory: the check builds the cached chain,
+    one copy of the state, and makes the blocks lambda Gamma of the other
+    side one at a time. A weighted copy of every site beside the chain
+    would exceed it."""
+    m = from_dense_vidal(random_tensor(np.random.default_rng(48), (2,) * 16))
+    tracemalloc.start()
+    try:
+        rep = verify_vidal(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 7.5 * 2**20, peak

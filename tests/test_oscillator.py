@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,7 @@ from idmps import (
     wavefunction_direct,
     wavefunction_mps,
 )
-from idmps.oscillator import MAX_PHYS_CUTOFF, _overlap_table
+from idmps.oscillator import MAX_PHYS_CUTOFF, _mixing_weights, _overlap_table
 
 # n=1 at unit frequency with theta = varphi = pi/4, phi = 0 gives the
 # direction (1/sqrt2, -1/2, 1/2), hence alpha = (1/2, 1/2) and
@@ -241,6 +243,73 @@ def test_bundle_a2_exactly_symmetric():
     assert np.array_equal(b.a2, b.a2.transpose(0, 2, 1))
     # lanes beyond the quanta budget vanish
     assert np.all(b.a2[:, 3, 1:] == 0.0)
+
+
+def _stored_a2_construction(p):
+    """a1, a2, a3 and the three site arrays as build_bundle made them while
+    the bundle stored a2: a fill loop over the lanes, and the middle site
+    as the product a2 * weights."""
+    n, d = p.n, p.phys_cutoff
+    ci = _overlap_table(d, n + 1, p.omega_tilde)
+    a2 = np.zeros((d, n + 1, n + 1))
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            a2[:, a, b] = ci[:, n - a - b]
+    a3 = ci * np.sqrt(np.array([gamma(b, p) for b in range(n + 1)]))[None, :]
+    sites = (ci.reshape(d, 1, n + 1), a2 * _mixing_weights(p)[None, :, :], a3.reshape(d, n + 1, 1))
+    return ci, a2, a3, sites
+
+
+def _assert_same_bits(got, want):
+    """Equal values, dtypes and shapes, and no -0.0 where the reference has +0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    g, w = (np.ascontiguousarray(x).view(float) for x in (got, want))
+    assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+angles = st.one_of(st.sampled_from([0.0, pi / 2, pi, -pi / 2]), st.floats(-2 * pi, 2 * pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(0.1, 10.0), angles, angles, angles)
+@example(3, 2, 1.7, 0.0, 2.5, 0.4)  # theta = 0: zero-weight lanes, u1 = -0.0
+def test_bundle_matches_the_stored_a2_construction_bit_for_bit(n, extra, w, theta, phi, varphi):
+    p = OscillatorParams(n=n, omega_tilde=w, theta=theta, phi=phi, varphi=varphi, phys_cutoff=n + 1 + extra)
+    bundle = build_bundle(p)
+    a1, a2, a3, sites = _stored_a2_construction(p)
+    for got, want in [(bundle.a1, a1), (bundle.a2, a2), (bundle.a3, a3)]:
+        _assert_same_bits(got, want)
+    for site, want in zip(bundle.mps.sites, sites):
+        _assert_same_bits(site.as_array(), want.astype(complex))
+    lanes = {
+        "A1": [(a, None, a1[:, a]) for a in range(n + 1)],
+        "A2": [(a, b, a2[:, a, b]) for a in range(n + 1) for b in range(n + 1 - a)],
+        "A3": [(None, b, a3[:, b]) for b in range(n + 1) if gamma(b, p) != 0.0],
+    }
+    for which, expected in lanes.items():
+        rows = element_decay_table(bundle, which)
+        assert rows == [
+            {"which": which, "a": a, "b": b, "k": k, "magnitude": abs(float(col[k]))}
+            for a, b, col in expected
+            for k in range(p.phys_cutoff)
+        ]
+
+
+def test_build_bundle_keeps_one_copy_of_the_middle_site():
+    """At n=60, d=200 the complex middle site is 11.4 MiB. build_bundle
+    keeps it and two d*(n+1) tables (12 MiB traced in all), and at its
+    peak holds one float a2 table (5.7 MiB) beside them. A stored a2, or
+    a weighted product made apart from the table, would exceed a bound."""
+    p = OscillatorParams(n=60, omega_tilde=2.3, theta=0.7, phi=0.4, varphi=0.3, phys_cutoff=200)
+    build_bundle(p)
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.mps.bond_dims == (61, 61)
+    assert kept <= 13 << 20 and peak <= 19 << 20, (kept, peak)
 
 
 def test_assembled_state_norm_and_spectra():

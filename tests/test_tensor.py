@@ -71,6 +71,16 @@ def test_tensor_norm_past_the_float_range_is_inf():
     assert tensor_norm(tensor_new((2, 2), BELL)) == pytest.approx(1.0)
 
 
+def test_tensor_norm_of_subnormal_complex_data():
+    """Rescaling divides the float view by the peak: a complex division by
+    a subnormal real overflows inside numpy and gave inf or NaN."""
+    assert tensor_norm(tensor_new((4,), [1e-320, 0, 0, 0])) == 1e-320
+    rng = np.random.default_rng(13)
+    t = tensor_new((16,), 1e-320 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+    exact = float(np.linalg.norm(t.data * 2.0**1000)) / 2.0**1000  # power-of-two scaling is exact
+    assert tensor_norm(t) == pytest.approx(exact, rel=0.0, abs=1e-323)
+
+
 def test_matricize_bell():
     m = matricize(tensor_new((2, 2), BELL), 1)
     assert m.shape == (2, 2)
