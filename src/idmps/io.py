@@ -38,11 +38,25 @@ error message; the finiteness and entry-count checks run on both paths.
 MPS files always take the json.load path, which type-checks and converts
 a payload in bulk and walks it entry by entry only to name the first bad
 entry.
+
+A payload of at least 2 * ``_CHUNK`` pairs is split into k runs of whole
+chunks, k = min(``_WORKERS``, pairs // ``_CHUNK``), where ``_WORKERS`` is
+the size of the process's CPU affinity set if os.fork exists (Linux) and
+1 elsewhere. ``_forked`` does run 0 in the caller and each other run in a
+forked child. Writer children format into anonymous files, which the
+caller copies in order; it formats a failed child's run itself, so the
+bytes never depend on a child. Reader runs are cut at "], [", and their
+children fill slices of one shared anonymous mapping; a failed child,
+like a bad block, sends the file to the json.load path.
 """
 
 import json
 import math
+import mmap
+import os
 import re
+import shutil
+from contextlib import ExitStack
 from itertools import chain
 
 import numpy as np
@@ -59,6 +73,27 @@ _CHUNK = 1 << 14
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+
+
+def _forked(parts: int, run) -> list[int]:
+    """Call ``run(i)`` for each i < ``parts``: part 0 here, the others in
+    forked children. Returns each child's wait status, nonzero if it raised."""
+    pids = []
+    try:
+        for i in range(1, parts):
+            pids.append(os.fork())
+            if pids[-1] == 0:  # never return into the caller's stack nor flush its buffers
+                try:
+                    run(i)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+        run(0)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return statuses
+
 
 def _texts(values: np.ndarray) -> list[str]:
     """json.dumps's text for each entry of the 1-D float array ``values``:
@@ -71,18 +106,37 @@ def _texts(values: np.ndarray) -> list[str]:
     return out.tolist()
 
 
-def _write_complex(fh, data: np.ndarray) -> None:
-    """Write ``data`` as the JSON list [[re, im], ...], byte for byte what
-    json.dump writes for it, ``_CHUNK`` pairs at a time."""
-    flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
-    fh.write("[")
-    for start in range(0, len(flat), 2 * _CHUNK):
+def _write_chunks(fh, flat: np.ndarray, starts: range) -> None:
+    """Write the chunks of pairs of ``flat`` that start at the float offsets
+    ``starts``, then flush: a forked child leaves without flushing."""
+    for start in starts:
         texts = _texts(flat[start : start + 2 * _CHUNK])
         parts = [None, ", ", None, "], ["] * (len(texts) // 2)
         parts[0::2] = texts
         parts[-1] = "]"
         fh.write(", [" if start else "[")
         fh.write("".join(parts))
+    fh.flush()
+
+
+def _write_complex(fh, data: np.ndarray) -> None:
+    """Write ``data`` as the JSON list [[re, im], ...], byte for byte what
+    json.dump writes for it, ``_CHUNK`` pairs at a time; each run of chunks
+    after the first is formatted in a forked child into an anonymous file."""
+    flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
+    starts = range(0, len(flat), 2 * _CHUNK)
+    k = max(1, min(_WORKERS, len(flat) // (2 * _CHUNK)))
+    runs = [starts[i * len(starts) // k : (i + 1) * len(starts) // k] for i in range(k)]
+    fh.write("[")
+    with ExitStack() as stack:
+        files = [fh] + [stack.enter_context(open(os.memfd_create("idmps"), "w+")) for _ in runs[1:]]
+        statuses = _forked(k, lambda i: _write_chunks(files[i], flat, runs[i]))
+        for run, out, status in zip(runs[1:], files[1:], statuses):
+            if status:  # the child failed: format its run here
+                _write_chunks(fh, flat, run)
+            else:
+                out.seek(0)
+                shutil.copyfileobj(out, fh)
     fh.write("]")
 
 
@@ -122,19 +176,33 @@ def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
         shape = json.loads(head[1])
         if not _is_shape(shape):
             return None
-        out = np.empty(2 * (raw.count(b"], [", head.end(), stop) + 1))
-        filled, pos = 0, head.end()
-        while pos < stop:
-            cut = raw.find(b"], [", pos + _BLOCK, stop)
-            cut = stop if cut < 0 else cut + 1
-            block = raw[pos:cut]
-            # Its numbers deleted, a block of k pairs reads "[, ], " * (k-1) + "[, ]".
-            skeleton = block.translate(None, _NUMBER_BYTES)
-            pairs = (len(skeleton) + 2) // 6
-            if skeleton != b"[, ], " * (pairs - 1) + b"[, ]":
-                return None
-            out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
-            filled, pos = filled + 2 * pairs, cut + 2
+        size = 2 * (raw.count(b"], [", head.end(), stop) + 1)
+        k = min(_WORKERS, size // (2 * _CHUNK))
+        # Range i runs from the "[" ending the i-th cut's "], [" (the
+        # header's "[" for i = 0) to the "]" starting the next cut's.
+        cuts = [raw.index(b"], [", head.end() + i * (stop - head.end()) // k, stop) for i in range(1, k)]
+        cuts = [head.end() - 3, *cuts, stop - 1]
+        offsets = [2 * raw.count(b"], [", head.end(), cut + 4) for cut in cuts[:-1]] + [size]
+        out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
+
+        def run(i: int) -> None:
+            filled, pos, end = offsets[i], cuts[i] + 3, cuts[i + 1] + 1
+            while pos < end:
+                cut = raw.find(b"], [", pos + _BLOCK, end)
+                cut = end if cut < 0 else cut + 1
+                block = raw[pos:cut]
+                # Its numbers deleted, a block of k pairs reads "[, ], " * (k-1) + "[, ]".
+                skeleton = block.translate(None, _NUMBER_BYTES)
+                pairs = (len(skeleton) + 2) // 6
+                if skeleton != b"[, ], " * (pairs - 1) + b"[, ]":
+                    raise ValueError("not the writers' pair layout")
+                out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
+                filled, pos = filled + 2 * pairs, cut + 2
+            if filled != offsets[i + 1]:
+                raise ValueError("the range's pairs do not fill its slice")
+
+        if any(_forked(len(cuts) - 1, run)):
+            return None
     except (ValueError, OverflowError):
         # A token json rejects, or an int beyond the float range.
         return None

@@ -55,7 +55,7 @@ from .errors import (
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
+from .tensor import _PLAIN_NORM_FLOOR, DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 _SLAB = 1 << 16  # block entries per step of _transfer
@@ -482,13 +482,25 @@ def site_right_residual(site: SiteTensor) -> float:
     return _gram_residuals(_mirror([site.as_array()]))[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def state_norm(m: MatrixProductState) -> float:
     """Euclidean norm of the state, from the chain contracted with its
-    conjugate in ``_transfer``'s slabs (no dense tensor, no site copy)."""
+    conjugate in ``_transfer``'s slabs (no dense tensor, no site copy).
+    Where that over- or underflows, it is redone with every block and
+    environment scaled by a power of two and the exponents summed."""
     env = None
     for block in m._chain:
         env = _transfer(env, block)
-    return float(np.sqrt(abs(env[0, 0].real)))
+    norm = float(np.sqrt(abs(env[0, 0].real)))
+    if _PLAIN_NORM_FLOOR < norm < np.inf:
+        return norm
+    env, exp2 = None, 0  # the squared norm is env[0, 0] * 2**exp2
+    for block in m._chain:
+        shift = np.frexp(np.max(np.abs(block.view(float))))[1]
+        env = _transfer(env, np.ldexp(block.view(float), -shift).view(complex))
+        top = np.frexp(np.max(np.abs(env.view(float))))[1]
+        env, exp2 = np.ldexp(env.view(float), -top).view(complex), exp2 + 2 * shift + top
+    return float(np.ldexp(np.sqrt(abs(env[0, 0].real) * 2.0 ** (exp2 % 2)), exp2 // 2))
 
 
 def _isometry_report(m: MatrixProductState, tag: str, left: int, right: int, tol: float) -> GaugeReport:

@@ -14,6 +14,7 @@ from idmps import (
     OscillatorParams,
     SiteTensor,
     build_bundle,
+    decompose,
     load_mps,
     load_tensor,
     save_mps,
@@ -23,6 +24,7 @@ from idmps import (
     to_dense,
 )
 from idmps.cli import main
+from idmps.io import _CHUNK
 
 
 def run_cli(capsys, *argv):
@@ -484,6 +486,26 @@ def test_reconstruct_reports_norm_and_residual_at_any_scale(tmp_path, scale):
     report = json.loads(proc.stdout)
     assert report["norm"] == pytest.approx(scale * float(np.linalg.norm(unit)), rel=1e-12)
     assert report["residual"] <= 1e-12
+
+
+def test_reconstruct_of_a_split_payload_prints_nothing_to_stderr(tmp_path):
+    # 2^16 entries: the written tensor and the reference are each split
+    # across the process's CPUs, with numpy (and its BLAS threads) loaded.
+    # Python 3.12+ would warn on stderr about fork() in a threaded process
+    # if the warning reached it.
+    rng = np.random.default_rng(12)
+    shape = (2,) * 16
+    assert np.prod(shape) >= 2 * _CHUNK
+    t = tensor_new(shape, rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16))
+    src, mps_path, out = tmp_path / "t.json", tmp_path / "m.json", tmp_path / "b.json"
+    save_tensor(str(src), t)
+    save_mps(str(mps_path), decompose(t, "left")[0])
+    proc = run_cli_process("reconstruct", str(mps_path), "--out", str(out), "--reference", str(src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["residual"] <= 1e-12
+    back = load_tensor(str(out)).data
+    assert np.max(np.abs(back - t.data)) <= 1e-12 * np.max(np.abs(t.data))
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["alone", "reference"])

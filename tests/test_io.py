@@ -1,11 +1,14 @@
 """File formats: the streamed writers against json.dump of the whole
 document and their peak memory, bulk decoding, the tensor block reader
-against the json.load path, rejection of malformed or non-finite
-payloads, and the oscillator CSV against csv.writer."""
+against the json.load path, both split across forked processes,
+rejection of malformed or non-finite payloads, and the oscillator CSV
+against csv.writer."""
 
 import csv
+import filecmp
 import io
 import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -322,6 +325,102 @@ def test_save_mps_peak_memory_does_not_grow_with_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 << 20
+
+
+# Pair counts at the split's edges: under two whole chunks the payload is
+# never split, and an odd count several chunks long leaves ragged runs.
+SPLIT_LENGTHS = [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 5 * _CHUNK + 7]
+# Negative zero, subnormals, "1e-05"-style exponents and the far ends of
+# the float range, each formatted differently by repr.
+SPLIT_SPECIALS = [-0.0, 0.0, 5e-324, -2.5e-320, 1e-05, -3.5e-07, 1e22, 1e300, -1e300, 1.5]
+
+
+def _split_payload(length: int) -> np.ndarray:
+    rng = np.random.default_rng(length)
+    flat = rng.standard_normal(2 * length)
+    picks = rng.integers(0, 2 * length, 400)
+    flat[picks] = rng.choice(SPLIT_SPECIALS, picks.size)
+    flat[-len(SPLIT_SPECIALS) :] = SPLIT_SPECIALS
+    return flat.view(complex)
+
+
+def _parts(length: int, workers: int) -> int:
+    return max(1, min(workers, length // _CHUNK))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("length", SPLIT_LENGTHS)
+def test_split_codec_is_exact(tmp_path, length, workers):
+    """With the payload split across 1, 2 or 3 processes, the written file
+    is json.dump's, byte for byte, and the block reader itself (not the
+    json.load fallback) gives json.load's values bit for bit."""
+    data = _split_payload(length)
+    path, reference = tmp_path / "t.json", tmp_path / "ref.json"
+    with open(reference, "w") as fh:
+        json.dump({"version": 1, "shape": [length], "data": _pairs(data)}, fh)
+        fh.write("\n")
+    with mock.patch.object(idmps.io, "_WORKERS", workers), mock.patch.object(
+        idmps.io.os, "fork", wraps=idmps.io.os.fork
+    ) as fork:
+        save_tensor(str(path), tensor_new((length,), data))
+        assert fork.call_count == _parts(length, workers) - 1
+        assert filecmp.cmp(path, reference, shallow=False)
+        fast = idmps.io._read_tensor_blocks(str(reference))
+        assert fork.call_count == 2 * (_parts(length, workers) - 1)
+    with open(reference) as fh:
+        expected = np.array(json.load(fh)["data"], dtype=float).reshape(-1)
+    assert fast is not None and fast[0] == [length]
+    assert fast[1].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_split_reader_bad_token_in_a_child_range(tmp_path):
+    """A bad token in the second of two ranges fails the child that reads
+    it; the file then takes the json.load path, which names the error."""
+    length = 3 * _CHUNK
+    path = tmp_path / "t.json"
+    save_tensor(str(path), tensor_new((length,), _split_payload(length)))
+    text = path.read_text()
+    at = text.index("], [", int(len(text) * 0.8)) + 4
+    path.write_text(text[:at] + "1.0.0" + text[text.index(",", at) :])
+    with open(path) as fh, pytest.raises(json.JSONDecodeError) as decode:
+        json.load(fh)
+    with mock.patch.object(idmps.io, "_WORKERS", 2):
+        assert idmps.io._read_tensor_blocks(str(path)) is None
+        with pytest.raises(FileFormatError) as exc:
+            load_tensor(str(path))
+    assert str(exc.value) == f"tensor file {str(path)!r}: invalid JSON ({decode.value})"
+
+
+def test_split_codec_survives_failed_children(tmp_path, capfd):
+    """Every child raises: the writer formats the children's runs itself,
+    so its bytes are unchanged; the reader returns None, and load_tensor
+    reads the file through json.load. No child is left unreaped and no
+    child prints anything."""
+    parent = os.getpid()
+    texts, loads = idmps.io._texts, json.loads
+
+    def child_fails(original):
+        def wrapped(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a failing child")
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    length = 2 * _CHUNK + 1
+    data = _split_payload(length)
+    path = tmp_path / "t.json"
+    with mock.patch.object(idmps.io, "_WORKERS", 2), mock.patch.object(
+        idmps.io, "_texts", child_fails(texts)
+    ), mock.patch.object(idmps.io.json, "loads", child_fails(loads)):
+        save_tensor(str(path), tensor_new((length,), data))
+        assert idmps.io._read_tensor_blocks(str(path)) is None
+        back = load_tensor(str(path)).data
+    assert path.read_text() == _dumped({"version": 1, "shape": [length], "data": _pairs(data)})
+    assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
 
 
 def _write_tensor_doc(path, data) -> str:

@@ -1,5 +1,6 @@
 """Property tests over random shapes and truncation policies."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -303,3 +304,26 @@ def test_sliced_transfer_matches_whole_block_references(d, bonds, slab, seed):
             # One slab is the whole-block product, bit for bit.
             flat = g.reshape(-1, g.shape[2])
             assert left_res == float(np.max(np.abs(flat.conj().T @ flat - np.eye(g.shape[2]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-300, 300),
+    st.sampled_from([("left", None), ("right", None), ("mixed", 3), ("vidal", None)]),
+    st.integers(0, 2**32 - 1),
+)
+# Where the plain contraction underflows to 0 and overflows to NaN.
+@example(-171, ("left", None), 0)
+@example(171, ("left", None), 0)
+@example(-300, ("vidal", None), 1)
+@example(300, ("right", None), 2)
+def test_state_norm_scales_with_the_state(k, form, seed):
+    """state_norm of the decomposed c * t is c times that of t, for every
+    c = 10^k, and no numpy warning is raised on the way."""
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    c = 10.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = state_norm(decompose(tensor_new((2,) * 6, c * unit), *form)[0])
+    assert scaled == pytest.approx(c * state_norm(decompose(tensor_new((2,) * 6, unit), *form)[0]), rel=1e-12)
