@@ -85,7 +85,6 @@ def cmd_reconstruct(args) -> int:
         "norm": _finite("norm", tensor_norm(t)),
         "out": args.out,
     }
-    save_tensor(args.out, t)
     if args.reference is not None:
         ref = load_tensor(args.reference)
         if ref.shape != t.shape:
@@ -95,6 +94,7 @@ def cmd_reconstruct(args) -> int:
         diff = tensor_norm(DenseTensor(t.shape, t.data - ref.data))
         scale = tensor_norm(ref)
         report["residual"] = _finite("residual", diff / scale if scale > 0.0 else diff)
+    save_tensor(args.out, t)  # last: a failed command leaves no file
     _emit(report)
     return 0
 

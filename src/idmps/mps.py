@@ -22,17 +22,20 @@ sweep and returns its record (``CutDiagnostics``): the singular values
 the SVD found there, how many the policy kept, and the weight it
 discarded; ``decompose`` returns the dense sweep's records, whose
 discarded weights add in quadrature to the distance between the input
-and the returned state. Truncation, of any form, runs the same site
-step after one left-normalizing QR sweep. A state keeps read-only
-copies of its arrays, so it also keeps what its queries derive, built
-on first use: the chain with its stored weights folded in, and the R
-factors of that same QR sweep run from each end. Schmidt spectra of
-bonds without stored weights need no SVD step: those gauge moves leave
-the bond's weight in one small matrix, whose singular values are the
-spectrum. The first such query on a state costs the two sweeps, each
-later cut one small values-only SVD. No operation here expands a chain
-back into a dense tensor except ``to_dense`` itself. Without truncation
-the constructions reproduce the input to working precision, and the
+and the returned state. Truncation, of any form, runs the same site step
+after one left-normalizing QR sweep. A state keeps read-only copies of
+its arrays, so it also keeps what its queries derive, built on first
+use: the chain with its stored weights folded in, the R factors of that
+same QR sweep run from each end, and two tables of chain products over a
+prefix and a suffix of the sites, one row per index assignment, each at
+most half the chain's size. A coefficient then costs the middle sites'
+vector products and one dot product. Schmidt spectra of bonds without
+stored weights need no SVD step: those gauge moves leave the bond's
+weight in one small matrix, whose singular values are the spectrum. The
+first such query on a state costs the two sweeps, each later cut one
+small values-only SVD. No operation here expands a chain into more
+entries than it holds except ``to_dense`` itself. Without truncation the
+constructions reproduce the input to working precision, and the
 bond->Schmidt identifications hold at every cut. ``verify`` checks
 whichever gauge a state's form tag claims; every check compares a Gram
 contraction with the identity and returns one ``GaugeReport``.
@@ -210,6 +213,25 @@ class MatrixProductState:
         """The R factors of ``_qr_sweep`` over the chain and over its mirror:
         either side of any cut is an isometry times one of them."""
         return _qr_sweep(list(self._chain)), _qr_sweep(_mirror(self._chain))
+
+    @cached_property
+    def _envs(self) -> tuple[np.ndarray, ...]:
+        """Tables over a prefix and a disjoint suffix of the chain, shaped
+        (d_i, .., d_j, bond): entry [k_i, .., k_j] is the product of those
+        sites' slices. Each grows one site at a time (the suffix's over the
+        mirror) while it holds at most half the chain's entries."""
+        half, blocks, tables = sum(g.size for g in self._chain) // 2, self._chain, []
+        for prefix in (True, False):
+            rows, dims = np.ones((1, 1), dtype=complex), []
+            for g in blocks:
+                if len(rows) * g.shape[0] * g.shape[2] > half:
+                    break
+                grown = np.matmul(rows, g)  # (phys, rows, right): the newest index varies slowest
+                rows = (grown.transpose(1, 0, 2) if prefix else grown).reshape(-1, g.shape[2])
+                dims.append(len(g))
+            tables.append(_frozen(rows.reshape(*(dims if prefix else dims[::-1]), -1)))
+            blocks = _mirror(self._chain[len(dims):])
+        return tuple(tables)
 
 
 def parse_form_tag(tag) -> tuple[str, int | None]:
@@ -689,12 +711,23 @@ def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.n
 
 
 def coefficient(m: MatrixProductState, indices) -> complex:
-    """Evaluate one coefficient c_{k1..kN} by a left-to-right vector sweep
-    through the chain's slices (the full tensor is never materialized)."""
+    """Evaluate one coefficient c_{k1..kN}: the prefix row of the state's
+    ``_envs`` tables, built on its first call, is swept through the middle
+    sites' slices and dotted with the suffix row."""
     idx = list(indices)
     if len(idx) != m.num_sites:
         raise IndexOutOfRange(f"expected {m.num_sites} indices, got {len(idx)}")
-    v = np.ones(1, dtype=complex)
-    for n, (k, slices) in enumerate(zip(idx, m._slices), start=1):
-        v = v.dot(_phys_slice(slices, k, n))
-    return complex(v[0])
+    try:
+        ks = list(map(operator.index, idx))
+        if min(ks) < 0:
+            raise IndexError
+        left, right = m._envs
+        lc, mid = left.ndim - 1, m.num_sites - right.ndim + 1
+        v = left[tuple(ks[:lc])]
+        for k, per_site in zip(ks[lc:mid], m._slices[lc:mid]):
+            v = v.dot(per_site[k])
+        return complex(v.dot(right[tuple(ks[mid:])]))
+    except (TypeError, IndexError):  # name the leftmost bad index
+        for n, (k, per_site) in enumerate(zip(idx, m._slices), start=1):
+            _phys_slice(per_site, k, n)
+        raise

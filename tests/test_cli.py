@@ -537,6 +537,43 @@ def test_reconstruct_norm_past_the_float_range_exit_2(tmp_path):
     assert not out.exists()
 
 
+def write_pair_state(tmp_path):
+    """An MPS file of a (2, 2) state with unit entries."""
+    mps_path = tmp_path / "m.json"
+    save_mps(str(mps_path), decompose(tensor_new((2, 2), np.ones(4)), "left")[0])
+    return mps_path
+
+
+@pytest.mark.parametrize("reference, code", [
+    (None, 1),  # the reference file does not exist
+    (tensor_new((4,), np.ones(4)), 1),  # shape [4] against the [2, 2] state
+    (tensor_new((2, 2), np.full(4, 1e-320)), 2),  # residual 1e320 overflows
+], ids=["missing", "shape", "overflow"])
+def test_failed_reconstruct_leaves_no_out_file(tmp_path, capsys, reference, code):
+    mps_path, ref, out = write_pair_state(tmp_path), tmp_path / "ref.json", tmp_path / "o.json"
+    if reference is not None:
+        save_tensor(str(ref), reference)
+    got, report, err = run_cli(capsys, "reconstruct", str(mps_path), "--out", str(out), "--reference", str(ref))
+    assert (got, report) == (code, None)
+    assert err.strip()
+    assert not out.exists()
+
+
+def test_reconstruct_writes_the_tensor_and_report_it_did_before(tmp_path, capsys):
+    mps_path, out, alone = write_pair_state(tmp_path), tmp_path / "o.json", tmp_path / "alone.json"
+    ref = tmp_path / "ref.json"
+    save_tensor(str(ref), tensor_new((2, 2), np.ones(4)))
+    save_tensor(str(alone), to_dense(load_mps(str(mps_path))))
+    assert main(["reconstruct", str(mps_path), "--out", str(out), "--reference", str(ref)]) == 0
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
+    assert list(report) == ["shape", "norm", "out", "residual"]
+    assert stdout == json.dumps(report, indent=2) + "\n"
+    assert (report["shape"], report["norm"], report["out"]) == ([2, 2], pytest.approx(2.0), str(out))
+    assert report["residual"] <= 1e-15
+    assert out.read_bytes() == alone.read_bytes()
+
+
 def test_deeply_nested_tensor_file_exit_1_without_traceback(tmp_path):
     src = tmp_path / "deep.json"
     src.write_text("[" * 100000 + "]" * 100000)

@@ -723,6 +723,54 @@ def test_coefficient_takes_numpy_integers():
     assert coefficient(m, (np.int64(1), np.int32(1), np.uint8(1))) == coefficient(m, (1, 1, 1))
 
 
+def twelve_site_chain():
+    """A random d = 2, bond-3 chain of 12 sites, and the first and last
+    sites (1-based) of the middle that its coefficient tables leave."""
+    rng = np.random.default_rng(46)
+    dims = [1] + [3] * 11 + [1]
+    sites = tuple(
+        SiteTensor(2, left, right, rng.standard_normal(2 * left * right) + 1j * rng.standard_normal(2 * left * right))
+        for left, right in zip(dims, dims[1:])
+    )
+    m = MatrixProductState(sites=sites)
+    left, right = m._envs
+    first, last = left.ndim, m.num_sites - right.ndim + 1
+    assert 1 < first <= last < m.num_sites  # a non-empty prefix, middle and suffix
+    return m, first, last
+
+
+@pytest.mark.parametrize("bad", [2, -1, 1.0, "1"], ids=["too-large", "negative", "float", "string"])
+@pytest.mark.parametrize("part", ["prefix", "middle", "suffix"])
+def test_coefficient_on_tables_names_the_leftmost_bad_index(bad, part):
+    m, first, last = twelve_site_chain()
+    site = {"prefix": first - 1, "middle": first, "suffix": last + 1}[part]
+    if isinstance(bad, int):
+        message = f"physical index {bad} outside 0..1 at site {site}"
+    else:
+        message = f"physical index {bad!r} at site {site} is not an integer"
+    idx = [0] * m.num_sites
+    idx[site - 1] = bad
+    for later in (0, 9):  # alone, then with a second bad index at the last site
+        idx[-1] = later
+        with pytest.raises(IndexOutOfRange) as exc:
+            coefficient(m, idx)
+        assert str(exc.value) == message
+
+
+def test_coefficient_on_tables_takes_any_integer_sequence():
+    m, _, _ = twelve_site_chain()
+    dense = to_dense(m)
+    bound = 1e-12 * tensor_norm(dense)
+    rng = np.random.default_rng(47)
+    for idx in rng.integers(0, 2, size=(16, m.num_sites)).tolist():
+        want = coefficient(m, idx)
+        assert abs(want - dense.as_array()[tuple(idx)]) <= bound
+        assert coefficient(m, tuple(idx)) == want
+        assert coefficient(m, (k for k in idx)) == want
+        assert coefficient(m, np.array(idx)) == want
+        assert coefficient(m, [np.int64(k) for k in idx]) == want
+
+
 def test_apply_site_map_identity_and_zero_slices():
     ident = SiteTensor(1, 2, 2, np.eye(2, dtype=complex).reshape(-1))
     end_l = SiteTensor(2, 1, 2, np.array([1, 0, 0, 1], dtype=complex))

@@ -327,3 +327,50 @@ def test_state_norm_scales_with_the_state(k, form, seed):
         warnings.simplefilter("error")
         scaled = state_norm(decompose(tensor_new((2,) * 6, c * unit), *form)[0])
     assert scaled == pytest.approx(c * state_norm(decompose(tensor_new((2,) * 6, unit), *form)[0]), rel=1e-12)
+
+
+def loop_coefficient(m, idx):
+    """The coefficient by a plain left-to-right vector sweep over the chain."""
+    v = np.ones(1, dtype=complex)
+    for k, g in zip(idx, m._chain):
+        v = v.dot(g[k])
+    return complex(v[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=10).map(tuple),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example((2,) * 10, 6, 0)  # tables on both ends, with and without a middle
+@example((1,) * 6, 1, 0)  # a prefix table over the whole chain
+def test_coefficient_tables_match_the_vector_sweep(shape, bond, seed):
+    """``coefficient`` read from the prefix and suffix tables agrees with
+    a plain vector sweep and with ``to_dense`` in every form, on weighted
+    untagged copies and on truncated states; the tables are read-only and
+    each holds at most half the chain's entries."""
+    t = unit_tensor(shape, seed)
+    policy = TruncationPolicy(max_bond=bond)
+    states = [decompose(t, form, None, policy)[0] for form in ("left", "right", "vidal")]
+    if len(shape) > 1:
+        states.append(decompose(t, "mixed", 1 + seed % (len(shape) - 1), policy)[0])
+    chain = unknown_chain(shape, seed)
+    states += [chain, truncate(chain, policy)[0]]
+    states += [MatrixProductState(sites=m.sites, bonds=m.bonds) for m in states if m.bonds]
+    rng = np.random.default_rng(seed)
+    picks = {tuple(int(rng.integers(d)) for d in shape) for _ in range(16)}
+    for m in map(fresh, states):
+        bound = 1e-12 * state_norm(m)
+        dense = to_dense(m).as_array()
+        for idx in picks:
+            got = coefficient(m, idx)
+            assert abs(got - loop_coefficient(m, idx)) <= bound, (m.form, idx)
+            assert abs(got - dense[idx]) <= bound, (m.form, idx)
+        left, right = m._envs
+        assert (left.ndim - 1) + (right.ndim - 1) <= m.num_sites
+        for table in (left, right):
+            # A table over no site is the unit row [1].
+            assert table.ndim == 1 or 2 * table.size <= sum(g.size for g in m._chain)
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0.0
