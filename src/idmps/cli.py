@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceFailure, FormMismatch, IdmpsError, ZeroState
 from .io import _texts, load_mps, load_tensor, save_mps, save_tensor
 from .mps import TruncationPolicy, decompose, parse_form_tag, state_norm, to_dense, verify
-from .oscillator import OscillatorParams, _decay_columns, build_bundle
+from .oscillator import OscillatorParams, _decay_lanes, build_bundle
 from .tensor import DEFAULT_RANK_TOL, DenseTensor, tensor_norm
 
 
@@ -110,24 +110,20 @@ def cmd_verify(args) -> int:
 def _write_decay_csv(path: str, bundle) -> None:
     """The element-decay rows of A1, A2 and A3 as CSV, in the dialect
     csv.writer uses (comma-separated, CRLF line ends), each magnitude (a
-    finite float) as its repr. Each distinct magnitude is formatted once,
-    and each ``_decay_columns`` block of rows is joined and written whole."""
-    ints = [f"{i}," for i in range(max(bundle.params.n + 1, bundle.params.phys_cutoff))]
-    mags = {}  # magnitude bits -> text
+    finite float) as its repr. Each table column a lane reads is formatted
+    once, as its "k,magnitude" lines (A2 lanes reuse A1's columns), and each
+    lane is written as one string: its "which,a,b," prefix before every line."""
+    columns = {}  # (table name, column) -> the column's "k,magnitude\r\n" lines
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("which,a,b,k,magnitude\r\n")
         for which in ("A1", "A2", "A3"):
-            for *lanes, mag in _decay_columns(bundle, which):
-                bits = mag.view(np.uint64).tolist()
-                unseen = [b for b in dict.fromkeys(bits) if b not in mags]
-                mags.update(zip(unseen, _texts(np.array(unseen, dtype=np.uint64).view(float))))
-                # which, a, b, k, magnitude, CRLF; an absent lane stays an empty field.
-                parts = [which + ",", ",", ",", None, None, "\r\n"] * len(bits)
-                for j, lane in enumerate(lanes, start=1):
-                    if lane is not None:
-                        parts[j::6] = map(ints.__getitem__, lane.tolist())
-                parts[4::6] = map(mags.__getitem__, bits)
-                fh.write("".join(parts))
+            for a, b, name, j in _decay_lanes(bundle, which):
+                lines = columns.get((name, j))
+                if lines is None:
+                    texts = _texts(np.abs(getattr(bundle, name)[:, j]))
+                    lines = columns[name, j] = [f"{k},{t}\r\n" for k, t in enumerate(texts)]
+                prefix = f"{which},{'' if a is None else a},{'' if b is None else b},"
+                fh.write(prefix + prefix.join(lines))
 
 
 def cmd_oscillator(args) -> int:

@@ -196,11 +196,14 @@ class MatrixProductState:
     @cached_property
     def _chain(self) -> tuple[np.ndarray, ...]:
         """Read-only site blocks with every stored bond weight multiplied
-        into the block on its left: a weight-free chain for the same state."""
+        into the block on its left: a weight-free chain for the same state.
+        A product past the float range is stored as infinite, whichever query
+        builds the chain first; each query decides what that means."""
         blocks = [site.as_array() for site in self.sites]
         for n, spec in enumerate(self.bonds or ()):
             if spec is not None:
-                blocks[n] = _frozen(blocks[n] * spec.values)
+                with np.errstate(over="ignore"):
+                    blocks[n] = _frozen(blocks[n] * spec.values)
         return tuple(blocks)
 
     @cached_property
@@ -321,7 +324,8 @@ def _dense_sweep(
         cuts.append(_cut(res.s, policy))
         keep = cuts[-1].kept
         blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
-        m = res.s[:keep, None] * res.vh[:keep]
+        with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
+            m = res.s[:keep, None] * res.vh[:keep]
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
     return blocks, tuple(cuts)
 
@@ -345,7 +349,8 @@ def _sweep_left(
         steps.append(_cut(res.s, policy))
         keep = steps[-1].kept
         blocks[n] = res.vh[:keep].reshape(keep, d, right).transpose(1, 0, 2)
-        blocks[n - 1] = blocks[n - 1] @ (res.u[:, :keep] * res.s[:keep])
+        with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
+            blocks[n - 1] = blocks[n - 1] @ (res.u[:, :keep] * res.s[:keep])
     return steps
 
 
@@ -463,10 +468,14 @@ def from_dense_vidal(
 
 
 def to_dense(m: MatrixProductState) -> DenseTensor:
-    """Contract the chain (including any bond weights) back to a tensor."""
+    """Contract the chain (including any bond weights) back to a tensor;
+    OverflowError if an entry leaves the double-precision range."""
     acc = m._chain[0][:, 0, :]
-    for g in m._chain[1:]:
-        acc = np.tensordot(acc, g, axes=([-1], [1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in m._chain[1:]:
+            acc = np.tensordot(acc, g, axes=([-1], [1]))
+    if not np.isfinite(acc).all():
+        raise OverflowError("an entry of the contracted state is outside the double-precision range")
     return tensor_new(m.phys_dims, acc.reshape(-1))
 
 

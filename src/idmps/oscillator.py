@@ -26,13 +26,11 @@ quadrature on the bounded f_k recurrence; the paper's closed form stays a formul
 
 import functools
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, exp, factorial, isfinite, ldexp, lgamma, log, pi, sqrt
 
 import numpy as np
 
 from .errors import DegreeTooLarge, IndexOutOfRange, InsufficientNodes
-from .io import _CHUNK
 from .mps import MatrixProductState, SiteTensor, to_dense
 from .tensor import DenseTensor
 
@@ -413,45 +411,32 @@ def wavefunction_direct(
     return float(total)
 
 
-def _decay_columns(bundle: OscillatorMpsBundle, which: str):
-    """The a, b, k and magnitude columns of ``element_decay_table`` in its
-    row order (lane by lane, physical index fastest), in blocks of whole
-    lanes of at most ``_CHUNK`` rows (or one lane); absent lanes are None.
-    A2 lane (a, b) is column n-a-b of ``a1``: a2 itself is never built."""
-    n, d = bundle.params.n, bundle.params.phys_cutoff
-    lanes = np.arange(n + 1)
+def _decay_lanes(bundle: OscillatorMpsBundle, which: str) -> list[tuple]:
+    """The lanes of ``element_decay_table(bundle, which)`` in its row order,
+    as (a, b, name, j): the lane's rows are k, |getattr(bundle, name)[k, j]|
+    for k < d. A2 lane (a, b) reads a1's column n-a-b, so a2 is never built."""
+    n = bundle.params.n
     if which == "A1":
-        a, b, table, cols = lanes, None, bundle.a1, lanes
-    elif which == "A2":
-        a, b = np.nonzero(np.add.outer(lanes, lanes) <= n)
-        table, cols = bundle.a1, n - a - b
-    elif which == "A3":
-        b = np.array([j for j in range(n + 1) if gamma(j, bundle.params) != 0.0], dtype=int)
-        a, table, cols = None, bundle.a3, b
-    else:
-        raise ValueError(f"which must be 'A1', 'A2' or 'A3', got {which!r}")
-    step = max(1, _CHUNK // d)
-    for rows in np.split(np.arange(len(cols)), range(step, len(cols), step)):
-        yield (
-            *(None if lane is None else np.repeat(lane[rows], d) for lane in (a, b)),
-            np.tile(np.arange(d), len(rows)),
-            np.abs(table[:, cols[rows]]).T.reshape(-1),
-        )
+        return [(a, None, "a1", a) for a in range(n + 1)]
+    if which == "A2":
+        return [(a, b, "a1", n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    if which == "A3":
+        return [(None, b, "a3", b) for b in range(n + 1) if gamma(b, bundle.params) != 0.0]
+    raise ValueError(f"which must be 'A1', 'A2' or 'A3', got {which!r}")
 
 
 def element_decay_table(bundle: OscillatorMpsBundle, which: str) -> list[dict]:
     """Magnitude of each table element versus its physical index.
 
     One row per (lane, physical index) with keys which / a / b / k /
-    magnitude; lanes that are identically zero are omitted. This is the
-    data behind the element-decay plots.
+    magnitude, lane by lane and physical index fastest; lanes that are
+    identically zero are omitted. This is the data behind the
+    element-decay plots.
     """
     return [
-        {"which": which, "a": ai, "b": bi, "k": ki, "magnitude": mi}
-        for *lanes, k, mag in _decay_columns(bundle, which)
-        for ai, bi, ki, mi in zip(
-            *(repeat(None) if x is None else x.tolist() for x in lanes), k.tolist(), mag.tolist()
-        )
+        {"which": which, "a": a, "b": b, "k": k, "magnitude": m}
+        for a, b, name, j in _decay_lanes(bundle, which)
+        for k, m in enumerate(np.abs(getattr(bundle, name)[:, j]).tolist())
     ]
 
 

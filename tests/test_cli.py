@@ -1,12 +1,20 @@
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idmps
 from idmps import (
@@ -25,6 +33,7 @@ from idmps import (
 )
 from idmps.cli import main
 from idmps.io import _CHUNK
+from idmps.mps import parse_form_tag
 
 
 def run_cli(capsys, *argv):
@@ -754,3 +763,133 @@ def test_tampered_form_tag_exit_1(tmp_path, capsys, tag):
         assert code == 1, (command, tag)
         assert report is None
         assert err.startswith("error:") and "form tag" in err
+
+
+def _at_float_limit(tmp_path, case: str) -> list:
+    """argv of a command whose input holds the largest finite double where
+    a product with it overflows."""
+    big, src = 1.7976931348623157e308, tmp_path / "in.json"
+    out = str(tmp_path / "out.json")
+    if case == "dense-sweep":  # the sweep's S Vh
+        save_tensor(str(src), tensor_new((2, 2), [1, 1, 1, big]))
+        return ["decompose", str(src), "--form", "left", "--out", out]
+    form, center = {"contraction": ("left", None), "chain-weights": ("mixed", 1)}[case]
+    m = decompose(tensor_new((2, 2), [3, 1, 1, 2]), form, center)[0]
+    first = SiteTensor(2, 1, 2, np.array([big, 0, 0, 0]))  # weights above 1 sit on its right bond
+    save_mps(str(src), MatrixProductState(sites=(first, m.sites[1]), bonds=m.bonds, form=form, center=center))
+    return ["reconstruct", str(src), "--out", out]
+
+
+@pytest.mark.parametrize("case", ["dense-sweep", "contraction", "chain-weights"])
+def test_overflow_at_the_float_limit_exit_2_without_a_warning(tmp_path, capsys, case):
+    argv = _at_float_limit(tmp_path, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert err.startswith("numerical failure:")
+    assert not (tmp_path / "out.json").exists()
+
+
+# Mutation fuzzing: valid tensor and MPS files, damaged in ways a file on
+# disk can be, through decompose, verify and reconstruct in process.
+SWAPPED_TYPES = [None, True, False, "", "x", "mixed:2", [], {}, [1.0], [[1.0, 0.0]], {"a": 1}, 0, 1, -1, 2, 1.5]
+EXTREME_NUMBERS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+    -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), 2**63, 2**64, 10**400, -(10**400),
+]
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_seeds() -> dict:
+    """The text of one tensor file and of an MPS file in each form."""
+    rng = np.random.default_rng(11)
+    t = tensor_new((2, 3, 2), rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    buf = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        save_tensor(path, t)
+        buf["tensor"] = Path(path).read_text()
+        for form in ("left", "right", "mixed:2", "vidal"):
+            save_mps(path, decompose(t, *parse_form_tag(form))[0])
+            buf[form] = Path(path).read_text()
+    return buf
+
+
+def _slots(node):
+    """(container, key) of every dict entry and list item under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from _slots(value)
+
+
+def _dump(node, extra: dict) -> str:
+    """json.dumps's text of ``node``, with the (key, value) pairs ``extra[id(d)]``
+    appended to dict d as duplicate keys."""
+    if isinstance(node, dict):
+        pairs = [*node.items(), *extra.get(id(node), [])]
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v, extra)}" for k, v in pairs) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dump(v, extra) for v in node) + "]"
+    return json.dumps(node)
+
+
+def _mutated(data, text: str) -> bytes:
+    """``text`` with a few bytes flipped, or with up to three edits to its
+    document: a key or item deleted, a key duplicated, a value swapped for
+    another type, or a number swapped for an extreme one."""
+    if data.draw(st.booleans()):
+        raw = bytearray(text.encode())
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        return bytes(raw)
+    doc, extra = json.loads(text), {}
+    for kind in data.draw(st.lists(st.sampled_from(["delete", "duplicate", "swap", "extreme"]), min_size=1, max_size=3)):
+        slots = list(_slots(doc))
+        if kind == "extreme":
+            slots = [(p, k) for p, k in slots if type(p[k]) in (int, float)]
+        if not slots:
+            break
+        parent, key = data.draw(st.sampled_from(slots))
+        if kind == "delete":
+            del parent[key]
+        elif kind == "extreme":
+            parent[key] = data.draw(st.sampled_from(EXTREME_NUMBERS))
+        else:
+            value = copy.deepcopy(data.draw(st.sampled_from(SWAPPED_TYPES + EXTREME_NUMBERS)))
+            if kind == "duplicate" and isinstance(parent, dict):
+                extra.setdefault(id(parent), []).append((key, value))
+            else:
+                parent[key] = value
+    return _dump(doc, extra).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.sampled_from(["tensor", "left", "right", "mixed:2", "vidal"]))
+def test_mutated_files_exit_cleanly(tmp_path_factory, data, seed):
+    """Any damage to an input file ends in exit 0, 1, 2 or 3, with no
+    escaped exception and no RuntimeWarning, and an exit-0 output reads back."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    src, out, ref = tmp / "in.json", tmp / "out.json", tmp / "ref.json"
+    src.write_bytes(_mutated(data, _fuzz_seeds()[seed]))
+    ref.write_text(_fuzz_seeds()["tensor"])
+    if seed == "tensor":
+        form = data.draw(st.sampled_from(["left", "right", "mixed:2", "vidal"]))
+        runs = [(["decompose", str(src), "--form", form, "--out", str(out)], load_mps)]
+    else:
+        runs = [
+            (["verify", str(src)], None),
+            (["reconstruct", str(src), "--out", str(out)], load_tensor),
+            (["reconstruct", str(src), "--out", str(out), "--reference", str(ref)], load_tensor),
+        ]
+    for argv, reload in runs:
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if code == 0 and reload is not None:
+            reload(str(out))

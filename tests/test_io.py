@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,6 +33,7 @@ from idmps import (
     save_tensor,
     tensor_new,
 )
+import idmps.cli
 import idmps.io
 from idmps.cli import _write_decay_csv, main
 from idmps.io import _CHUNK, _write_complex
@@ -548,3 +549,47 @@ def test_element_decay_rows_follow_lane_order(kw):
         got = [(r["a"], r["b"], r["k"], r["magnitude"]) for r in element_decay_table(bundle, which)]
         assert got == rows
         assert all(r["which"] == which for r in element_decay_table(bundle, which))
+
+
+# Exact zero angles put the mode on a pole or a coordinate plane, where
+# whole A3 lanes vanish and leave the table.
+angles = st.one_of(st.just(0.0), st.floats(-3.2, 3.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    extra=st.integers(1, 6),
+    omega_tilde=st.floats(0.3, 3.0),
+    theta=angles,
+    phi=angles,
+    varphi=angles,
+)
+@example(n=3, extra=2, omega_tilde=1.0, theta=0.0, phi=0.0, varphi=0.0)  # only A3 lane b = n remains
+def test_decay_csv_and_rows_match_the_tables(tmp_path_factory, n, extra, omega_tilde, theta, phi, varphi):
+    bundle = build_bundle(OscillatorParams(n, omega_tilde, theta, phi, varphi, n + extra))
+    path = tmp_path_factory.mktemp("csv") / "osc.csv"
+    _write_decay_csv(str(path), bundle)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == _reference_csv(bundle)
+    a1, a2, a3, d = bundle.a1, bundle.a2, bundle.a3, n + extra
+    lanes = {
+        "A1": [(a, None, a1[:, a]) for a in range(n + 1)],
+        "A2": [(a, b, a2[:, a, b]) for a in range(n + 1) for b in range(n + 1 - a)],
+        "A3": [(None, b, a3[:, b]) for b in range(n + 1) if gamma(b, bundle.params) != 0.0],
+    }
+    for which, expected in lanes.items():
+        rows = [(r["which"], r["a"], r["b"], r["k"], r["magnitude"]) for r in element_decay_table(bundle, which)]
+        assert rows == [(which, a, b, k, abs(float(col[k]))) for a, b, col in expected for k in range(d)]
+
+
+def test_decay_csv_formats_each_table_column_once(tmp_path):
+    """At n=60, d=200 the writer formats at most the a1 and a3 tables once
+    each, 2 (n+1) d magnitudes, though the CSV holds 402,601 rows: the
+    1891 A2 lanes reuse A1's formatted columns."""
+    params = OscillatorParams(n=60, omega_tilde=1.7, theta=0.9, phi=2.1, varphi=0.4, phys_cutoff=200)
+    bundle = build_bundle(params)
+    with mock.patch.object(idmps.cli, "_texts", wraps=idmps.io._texts) as texts:
+        _write_decay_csv(str(tmp_path / "osc.csv"), bundle)
+    formatted = sum(len(call.args[0]) for call in texts.call_args_list)
+    assert 0 < formatted <= 2 * 61 * 200
