@@ -7,8 +7,8 @@ example). Each prints a single JSON report to stdout; diagnostics go to
 stderr.
 
 Exit codes: 0 success, 1 malformed input or parameters, 2 numerical
-failure (including floating-point overflow), 3 verification /
-claimed-form failure. The environment variable IDMPS_RANK_TOL
+failure (floating-point overflow and running out of memory included),
+3 verification / claimed-form failure. The environment variable IDMPS_RANK_TOL
 overrides the default rank-cut tolerance used by the decompositions.
 """
 
@@ -196,8 +196,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroState, ConvergenceFailure, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ZeroState, ConvergenceFailure, ArithmeticError, MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except FormMismatch as exc:
         print(f"form mismatch: {exc}", file=sys.stderr)

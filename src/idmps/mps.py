@@ -58,10 +58,11 @@ from .errors import (
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import _PLAIN_NORM_FLOOR, DEFAULT_RANK_TOL, DenseTensor, _lapack_svd, low_rank_error, svd, tensor_new
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _exponent, _lapack_svd, low_rank_error, svd, tensor_new
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 _SLAB = 1 << 16  # block entries per step of _transfer
+_CHAIN_RANGE = "the state's chain, its bond weights folded in, is outside the double-precision range"
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,12 @@ class MatrixProductState:
 
     @cached_property
     def _envs(self) -> tuple[np.ndarray, ...]:
-        """Tables over a prefix and a disjoint suffix of the chain, shaped
-        (d_i, .., d_j, bond): entry [k_i, .., k_j] is the product of those
-        sites' slices. Each grows one site at a time (the suffix's over the
-        mirror) while it holds at most half the chain's entries."""
+        """Tables over a prefix and a disjoint suffix of the chain, shaped (d_i, .., d_j, bond):
+        entry [k_i, .., k_j] is the product of those sites' slices. Each grows one site at a
+        time (the suffix's over the mirror) while it holds at most half the chain's entries.
+        A chain that is not finite raises OverflowError here, as ``to_dense`` does."""
+        if not all(np.isfinite(g).all() for g in self._chain):
+            raise OverflowError(_CHAIN_RANGE)
         half, blocks, tables = sum(g.size for g in self._chain) // 2, self._chain, []
         for prefix in (True, False):
             rows, dims = np.ones((1, 1), dtype=complex), []
@@ -289,6 +292,7 @@ class CutDiagnostics:
     discarded: float
 
 
+@np.errstate(over="ignore")
 def _cut(s: np.ndarray, policy: TruncationPolicy | None) -> CutDiagnostics:
     """The record of one cut with nonincreasing values ``s``: ``policy``
     (None keeps all) keeps at least one; no values means a zero state."""
@@ -299,10 +303,11 @@ def _cut(s: np.ndarray, policy: TruncationPolicy | None) -> CutDiagnostics:
         if policy.max_bond is not None:
             keep = min(keep, policy.max_bond)
         if policy.weight_tol is not None:
-            tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
-            allowed = np.nonzero(tails <= policy.weight_tol)[0]
+            e = _exponent(s)
+            tails = np.sqrt(np.cumsum(np.ldexp(s[::-1], -e) ** 2))[::-1]  # tails[k] = ||s[k:]|| / 2**e
+            allowed = np.nonzero(tails <= np.ldexp(policy.weight_tol, -e))[0]
             keep = max(min(keep, int(allowed[0]) if allowed.size else keep), 1)
-    return CutDiagnostics(s, keep, low_rank_error(s, keep))
+    return CutDiagnostics(s, keep, low_rank_error(s, keep) if keep < s.size else 0.0)
 
 
 def _check_nonzero(data: np.ndarray) -> None:
@@ -369,12 +374,12 @@ def _state(
     blocks: list[np.ndarray], form: str,
     bonds: tuple[BondSpectrum | None, ...] | None = None, center: int | None = None,
 ) -> MatrixProductState:
-    """The state of a sweep's blocks; a block that is not finite (dividing
-    by subnormal weights leaves one) raises ConvergenceFailure."""
+    """The state of a sweep's blocks; a block that is not finite raises
+    ConvergenceFailure (as do the weighted forms of a near-subnormal state)."""
     if not all(np.isfinite(g).all() for g in blocks):
-        weights = [b.values[-1] for b in bonds or () if b is not None]
-        least = f" after division by bond weights as small as {min(weights):.3g}" if weights else ""
-        raise ConvergenceFailure(f"a {form} site tensor is not finite{least}")
+        least = min((b.values[-1] for b in bonds or () if b is not None), default=0.0)
+        why = f": the form cannot represent a state so small (weights down to {least:.3g})" if least else ""
+        raise ConvergenceFailure(f"a {form} site tensor would exceed the double-precision range{why}")
     sites = tuple(SiteTensor(*g.shape, g) for g in blocks)
     return MatrixProductState(sites=sites, bonds=bonds, form=form, center=center)
 
@@ -479,16 +484,17 @@ def to_dense(m: MatrixProductState) -> DenseTensor:
     return tensor_new(m.phys_dims, acc.reshape(-1))
 
 
-def _transfer(env: np.ndarray | None, block: np.ndarray) -> np.ndarray:
-    """sum_k g[k]^+ env g[k] for a (phys, left, right) block g: the left
-    environment ``env`` (None for the identity) carried across one site,
-    summed over slabs of k of at most ``_SLAB`` entries (or one k)."""
-    out, right, step = None, block.shape[2], max(1, _SLAB // block[0].size)
+def _transfer(env: np.ndarray | None, block: np.ndarray, shift: int = 0) -> np.ndarray:
+    """sum_k g[k]^+ env g[k] for g = block / 2**shift, a (phys, left, right)
+    block: the left environment ``env`` (None for the identity) carried
+    across one site, in slabs of k of at most ``_SLAB`` entries (or one k)."""
+    out, right, step = 0, block.shape[2], max(1, _SLAB // block[0].size)
     for g in np.split(block, range(step, len(block), step)):
-        flat = g.reshape(-1, right)
-        carried = flat if env is None else np.matmul(env, g).reshape(flat.shape)
-        term = flat.conj().T @ carried
-        out = term if out is None else operator.iadd(out, term)
+        # The slab's own scaled copy (a mirrored slab is made contiguous first), conjugated in place.
+        flat = np.ldexp(np.ascontiguousarray(g.reshape(-1, right)).view(float), -shift).view(complex)
+        carried = flat.copy() if env is None else np.matmul(env, flat.reshape(g.shape)).reshape(flat.shape)
+        out += np.conjugate(flat, out=flat).T @ carried
+        del flat, carried  # free both copies before the next slab's
     return out
 
 
@@ -513,23 +519,18 @@ def site_right_residual(site: SiteTensor) -> float:
     return _gram_residuals(_mirror([site.as_array()]))[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # inf past the double range; NaN sites give NaN
 def state_norm(m: MatrixProductState) -> float:
-    """Euclidean norm of the state, from the chain contracted with its
-    conjugate in ``_transfer``'s slabs (no dense tensor, no site copy).
-    Where that over- or underflows, it is redone with every block and
-    environment scaled by a power of two and the exponents summed."""
-    env = None
-    for block in m._chain:
-        env = _transfer(env, block)
-    norm = float(np.sqrt(abs(env[0, 0].real)))
-    if _PLAIN_NORM_FLOOR < norm < np.inf:
-        return norm
+    """Euclidean norm of the state at any scale: sites contracted with their conjugates in
+    ``_transfer``'s slabs, weights applied to the environment, each divided by 2**``_exponent``."""
     env, exp2 = None, 0  # the squared norm is env[0, 0] * 2**exp2
-    for block in m._chain:
-        shift = np.frexp(np.max(np.abs(block.view(float))))[1]
-        env = _transfer(env, np.ldexp(block.view(float), -shift).view(complex))
-        top = np.frexp(np.max(np.abs(env.view(float))))[1]
+    for site, spec in zip(m.sites, (*(m.bonds or [None] * len(m.bond_dims)), None)):
+        shift = _exponent(site.as_array())
+        env = _transfer(env, site.as_array(), shift)
+        if spec is not None:
+            lam = np.ldexp(spec.values, -_exponent(spec.values))
+            env, shift = env * lam[:, None] * lam, shift + _exponent(spec.values)
+        top = _exponent(env)
         env, exp2 = np.ldexp(env.view(float), -top).view(complex), exp2 + 2 * shift + top
     return float(np.ldexp(np.sqrt(abs(env[0, 0].real) * 2.0 ** (exp2 % 2)), exp2 // 2))
 
@@ -634,6 +635,8 @@ def truncate(
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
     blocks = m._chain
+    if not all(np.isfinite(g).all() for g in blocks):
+        raise ConvergenceFailure(_CHAIN_RANGE)
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
         cuts = [_cut(b.values, policy) for b in m.bonds]  # type: ignore[union-attr]
         errors = [cut.discarded for cut in cuts]

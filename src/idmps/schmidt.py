@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroState
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, dematricize, matricize, svd
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _exponent, dematricize, matricize, svd
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,10 @@ def schmidt_decompose(
 
 def entropy_from_values(values: Sequence[float] | np.ndarray) -> float:
     """Entanglement entropy -sum p ln p of a Schmidt value list,
-    with p_k = lambda_k^2 normalized; 0 ln 0 counts as 0. In nats."""
-    lam2 = np.asarray(values, dtype=float) ** 2
+    with p_k = lambda_k^2 normalized; 0 ln 0 counts as 0. In nats, and
+    independent of the values' scale."""
+    vals = np.asarray(values, dtype=float)
+    lam2 = np.ldexp(vals, -_exponent(vals)) ** 2
     total = lam2.sum()
     if total <= 0.0:
         raise ZeroState("all Schmidt coefficients vanish")

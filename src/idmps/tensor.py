@@ -8,7 +8,7 @@ with a deterministic phase gauge.
 """
 
 from dataclasses import dataclass
-from math import prod
+from math import frexp, prod
 from typing import Sequence
 
 import numpy as np
@@ -75,27 +75,20 @@ def tensor_new(shape: Sequence[int], data: Sequence[complex] | np.ndarray) -> De
     return DenseTensor(shape=dims, data=flat)
 
 
-#: Above this, a plain sum of squares lost no digits to underflow.
-_PLAIN_NORM_FLOOR = 1e-140
+def _exponent(x: np.ndarray) -> int:
+    """The exponent e of the smallest power of two above max|x|, read with no
+    temporary array (0 for an empty, zero or non-finite x). x / 2**e is exact
+    and its squares cannot overflow, so sums of squares are taken on it."""
+    parts = (x.real, x.imag) if x.dtype.kind == "c" else (x,)
+    return frexp(max((max(-p.min(), p.max()) for p in parts if p.size), default=0.0))[1]
 
 
 @np.errstate(over="ignore")
 def tensor_norm(t: DenseTensor) -> float:
-    """Euclidean (Hilbert-space) norm of the coefficient data.
-
-    Where the plain sum of squares would overflow or underflow, the data
-    are first divided by their largest magnitude, so the result is right
-    for any finite data; it is inf only where the norm itself exceeds the
-    double-precision range.
-    """
-    norm = float(np.linalg.norm(t.data))
-    if _PLAIN_NORM_FLOOR < norm < np.inf:
-        return norm
-    peak = float(np.max(np.abs(t.data)))
-    if not 0.0 < peak < np.inf:
-        return norm
-    # The float view: complex division by a subnormal real overflows inside numpy.
-    return peak * float(np.linalg.norm(t.data.view(float) / peak))
+    """Euclidean (Hilbert-space) norm of the coefficient data, at any scale
+    (see ``_exponent``); inf only past the double-precision range."""
+    e = _exponent(t.data)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(t.data.view(float), -e).view(complex)), e))
 
 
 def _check_cut(ndim: int, cut: int) -> None:
@@ -172,10 +165,12 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     return SvdResult(u=u, s=s, vh=vh, rank=rank)
 
 
+@np.errstate(over="ignore")
 def low_rank_error(s: Sequence[float] | np.ndarray, keep: int) -> float:
     """Frobenius-norm error of the best rank-``keep`` approximation,
-    sqrt of the discarded squared singular values."""
+    sqrt of the discarded squared singular values, at any scale."""
     vals = np.asarray(s, dtype=float)
     if not 0 <= keep <= vals.size:
         raise KeepOutOfRange(f"keep must be in 0..{vals.size}, got {keep}")
-    return float(np.sqrt(np.sum(vals[keep:] ** 2)))
+    e = _exponent(vals[keep:])
+    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(vals[keep:], -e) ** 2)), e))

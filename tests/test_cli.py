@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -778,6 +779,19 @@ def _at_float_limit(tmp_path, case: str) -> list:
     first = SiteTensor(2, 1, 2, np.array([big, 0, 0, 0]))  # weights above 1 sit on its right bond
     save_mps(str(src), MatrixProductState(sites=(first, m.sites[1]), bonds=m.bonds, form=form, center=center))
     return ["reconstruct", str(src), "--out", out]
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 4.00 PiB"), MemoryError()])
+def test_memory_error_exit_2_with_one_line(tmp_path, capsys, error):
+    """Running out of memory is a numerical failure: exit 2, one stderr
+    line and no file. A patched to_dense raises it; nothing large is allocated."""
+    src, out = tmp_path / "m.json", tmp_path / "t.json"
+    save_mps(str(src), decompose(tensor_new((2, 2), [3, 1, 1, 2]), "left")[0])
+    with mock.patch("idmps.cli.to_dense", side_effect=error):
+        code, report, err = run_cli(capsys, "reconstruct", str(src), "--out", str(out))
+    assert (code, report) == (2, None)
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1 and len(err) > len("numerical failure: \n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["dense-sweep", "contraction", "chain-weights"])

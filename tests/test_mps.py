@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import idmps.mps
 from idmps import (
     BondSpectrum,
     CenterOutOfRange,
+    ConvergenceFailure,
     CutOutOfRange,
     DimChainBroken,
     FormMismatch,
@@ -869,3 +871,49 @@ def test_verify_vidal_peak_memory_holds_one_weighted_block_at_a_time():
         tracemalloc.stop()
     assert rep.passed
     assert peak <= 7.5 * 2**20, peak
+
+
+def chain_past_the_float_range(far_scale=1.0):
+    """The mixed:1 state of [[3, 1], [1, 2]] with site 1 replaced by [big, 0, 0, 0],
+    big the largest double, and site 2 times ``far_scale``. The center weights
+    (3.6 and 1.4) multiply big, so the folded chain overflows; the state's norm
+    is big * 3.6 * far_scale."""
+    m = decompose(tensor_new((2, 2), [3, 1, 1, 2]), "mixed", 1)[0]
+    first = SiteTensor(2, 1, 2, np.array([np.finfo(float).max, 0, 0, 0]))
+    second = SiteTensor(2, 2, 1, far_scale * m.sites[1].data)
+    return MatrixProductState(sites=(first, second), bonds=m.bonds, form="mixed", center=1)
+
+
+def test_queries_on_a_chain_past_the_float_range_fail_without_a_warning():
+    """Its norm (about 6.5e308) is inf; coefficient raises OverflowError, as
+    to_dense does, and truncate ConvergenceFailure, none with a numpy warning."""
+    m = chain_past_the_float_range()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state_norm(m) == np.inf
+        for query in (to_dense, lambda s: coefficient(s, (0, 0)), lambda s: coefficient(s, (1, 1))):
+            with pytest.raises(OverflowError):
+                query(m)
+        with pytest.raises(ConvergenceFailure):
+            truncate(m, TruncationPolicy(max_bond=1))
+
+
+def test_state_norm_is_finite_where_only_the_folded_chain_overflows():
+    """state_norm applies the weights to the environment, not to the sites,
+    so a far site small enough to bring the norm into range gives its value."""
+    m = chain_past_the_float_range(1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = state_norm(m)
+    assert norm == pytest.approx(np.finfo(float).max * (m.bonds[0].values[0] * 1e-10), rel=1e-12)
+
+
+@pytest.mark.parametrize("form, center", [("vidal", None), ("mixed", 1)])
+def test_weighted_forms_of_a_subnormal_state_say_why_they_fail(form, center):
+    """The one weight is 1e-320, so a site divided by it would exceed the
+    double range: the error says the form cannot represent the state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match=r"cannot represent a state so small .*1e-320") as info:
+            decompose(tensor_new((2, 2), [1e-320, 0, 0, 0]), form, center)
+    assert "divi" not in str(info.value)

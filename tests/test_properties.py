@@ -16,16 +16,19 @@ from idmps import (
     bond_spectrum,
     coefficient,
     decompose,
+    entanglement_entropy,
     from_dense_left_canonical,
     from_dense_mixed_canonical,
     from_dense_right_canonical,
     from_dense_vidal,
     low_rank_error,
     schmidt_decompose,
+    schmidt_entropy,
     site_left_residual,
     site_right_residual,
     state_norm,
     tensor_new,
+    tensor_norm,
     to_dense,
     truncate,
     verify,
@@ -317,16 +320,53 @@ def test_sliced_transfer_matches_whole_block_references(d, bonds, slab, seed):
 @example(171, ("left", None), 0)
 @example(-300, ("vidal", None), 1)
 @example(300, ("right", None), 2)
+# Where squared spectra underflow (cuts, tails, entropies) or overflow in plain doubles.
+@example(-180, ("left", None), 0)
+@example(-170, ("mixed", 3), 0)
+@example(160, ("vidal", None), 0)
+@example(180, ("right", None), 0)
 def test_state_norm_scales_with_the_state(k, form, seed):
     """state_norm of the decomposed c * t is c times that of t, for every
-    c = 10^k, and no numpy warning is raised on the way."""
+    c = 10^k, and no numpy warning is raised on the way. So are each cut's
+    spectrum and discarded weight (no policy, a bond cap, a weight
+    tolerance times c), the bond spectra, their low-rank errors, the
+    tensor norm and coefficients; kept bonds and entropies stay the same."""
     rng = np.random.default_rng(seed)
     unit = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     c = 10.0**k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scaled = state_norm(decompose(tensor_new((2,) * 6, c * unit), *form)[0])
+        got, got_kept, got_entropies = scale_record(tensor_new((2,) * 6, c * unit), form, c)
     assert scaled == pytest.approx(c * state_norm(decompose(tensor_new((2,) * 6, unit), *form)[0]), rel=1e-12)
+    want, want_kept, want_entropies = scale_record(tensor_new((2,) * 6, unit), form, 1.0)
+    assert got_kept == want_kept
+    assert got_entropies == pytest.approx(want_entropies, rel=1e-12, abs=1e-12)
+    for (values, _), (reference, largest) in zip(got, want):
+        assert values.shape == reference.shape
+        assert np.max(np.abs(values - c * reference)) <= 1e-12 * c * largest, k
+
+
+def scale_record(t, form, c):
+    """What ``t``'s decompositions and queries report, the weight tolerance
+    scaled by ``c``: (values that scale with the state, each with the
+    largest value of its cut or state), the kept bonds, and the entropies."""
+    scaled, kept = [], []
+    for policy in (None, TruncationPolicy(max_bond=3), TruncationPolicy(weight_tol=0.05 * c)):
+        m, cuts = decompose(t, *form, policy)
+        scaled += [(np.append(cut.spectrum, cut.discarded), cut.spectrum[0]) for cut in cuts]
+        kept.append((m.bond_dims, [cut.kept for cut in cuts]))
+    m = decompose(t, *form)[0]
+    for cut in range(1, t.ndim):
+        values = bond_spectrum(m, cut).values
+        errors = [low_rank_error(values, keep) for keep in range(values.size + 1)]
+        scaled.append((np.append(values, errors), values[0]))
+    entropies = [entanglement_entropy(m, cut) for cut in range(1, t.ndim)]
+    entropies += [schmidt_entropy(schmidt_decompose(t, cut)) for cut in range(1, t.ndim)]
+    picks = [(0,) * 6, (1,) * 6, (0, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 1)]
+    norm = tensor_norm(t)
+    scaled.append((np.array([norm] + [coefficient(m, idx) for idx in picks]), norm))
+    return scaled, kept, entropies
 
 
 def loop_coefficient(m, idx):
