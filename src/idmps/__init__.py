@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     PolicyEmpty,
     ShapeMismatch,
+    TooLarge,
     ZeroState,
 )
 from .io import load_mps, load_tensor, save_mps, save_tensor
@@ -77,6 +78,7 @@ from .schmidt import (
 )
 from .tensor import (
     DEFAULT_RANK_TOL,
+    MAX_ENTRIES,
     DenseTensor,
     SvdResult,
     dematricize,

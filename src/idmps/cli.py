@@ -4,11 +4,13 @@ Four subcommands: decompose (tensor file -> MPS file in a chosen
 canonical form), reconstruct (MPS file -> tensor file), verify (gauge
 check of a claimed form), and oscillator (analytical three-site
 example). Each prints a single JSON report to stdout; diagnostics go to
-stderr.
+stderr. reconstruct --reference takes the residual in the reference's
+own array, so it holds two tensors, not their difference as well.
 
-Exit codes: 0 success, 1 malformed input or parameters, 2 numerical
-failure (floating-point overflow and running out of memory included),
-3 verification / claimed-form failure. The environment variable IDMPS_RANK_TOL
+Exit codes: 0 success, 1 malformed input or parameters (sizes that would
+make an array past ``MAX_ENTRIES`` entries included), 2 numerical failure
+(floating-point overflow and running out of memory included), 3
+verification / claimed-form failure. The environment variable IDMPS_RANK_TOL
 overrides the default rank-cut tolerance used by the decompositions.
 """
 
@@ -88,11 +90,11 @@ def cmd_reconstruct(args) -> int:
     if args.reference is not None:
         ref = load_tensor(args.reference)
         if ref.shape != t.shape:
-            raise ValueError(
-                f"reference shape {ref.shape} != reconstructed shape {t.shape}"
-            )
-        diff = tensor_norm(DenseTensor(t.shape, t.data - ref.data))
+            raise ValueError(f"reference shape {ref.shape} != reconstructed shape {t.shape}")
         scale = tensor_norm(ref)
+        # The difference in place, in the reference's own array: ||ref - t|| is ||t - ref||, bit for bit.
+        diff = tensor_norm(DenseTensor(t.shape, np.subtract(ref.data, t.data, out=ref.data)))
+        del ref  # before the writer runs
         report["residual"] = _finite("residual", diff / scale if scale > 0.0 else diff)
     save_tensor(args.out, t)  # last: a failed command leaves no file
     _emit(report)
@@ -103,6 +105,8 @@ def cmd_verify(args) -> int:
     if not args.tol >= 0.0:
         raise ValueError(f"--tol must be >= 0, got {args.tol}")
     report = verify(load_mps(args.input), args.tol)
+    if report.boundary_scalar is not None:
+        _finite("boundary scalar", report.boundary_scalar)
     _emit(report.as_dict())
     return 0 if report.passed else 3
 

@@ -66,5 +66,9 @@ class InsufficientNodes(IdmpsError):
     """Too few quadrature nodes for the requested polynomial degree."""
 
 
+class TooLarge(IdmpsError):
+    """An array would hold more than ``MAX_ENTRIES`` entries."""
+
+
 class FileFormatError(IdmpsError):
     """A tensor or MPS file does not follow the documented JSON layout."""

@@ -25,16 +25,19 @@ that document.
 
 load_tensor first tries a block reader for the layout those writers (and
 json.dump) emit: the exact header {"version": 1, "shape": [...], "data": [,
-the pairs joined by ", ", then "]]}" and an optional newline. It decodes
-the file's bytes in blocks cut at "], [" boundaries. A block with its
-number characters (0-9 . e E + -) deleted must read "[, ], " repeated and
-ending in "[, ]", which proves the pair structure; with its brackets
-deleted, json.loads parses the numbers, so json's own scanner decides
-what is a number and its value. The values fill one float array sized
-from the pairs found, never from the declared shape. Any other file
-(other whitespace or key order, NaN, booleans, an int beyond the float
-range, a bad token) falls back to json.load, which also produces every
-error message; the finiteness and entry-count checks run on both paths.
+the pairs joined by ", ", then "]]}" and an optional newline. It reads
+the file by byte range (os.pread), never whole: one pass cuts the payload
+into blocks of about ``_BLOCK`` bytes at "], [" boundaries and counts
+their pairs, a second parses them. A block with its number characters
+(0-9 . e E + -) deleted must read "[, ], " per counted pair, the last as
+"[, ]", which proves the pair structure; with its brackets deleted,
+json.loads parses the numbers, so json's own scanner decides what is a
+number and its value. The values fill one float array sized from the
+pairs counted, never from the declared shape, which the tensor adopts
+without a copy. Any other file (other whitespace or key order, NaN,
+booleans, an int beyond the float range, a bad token) falls back to
+json.load, which also produces every error message; the finiteness and
+entry-count checks run on both paths.
 MPS files always take the json.load path, which type-checks and converts
 a payload in bulk and walks it entry by entry only to name the first bad
 entry.
@@ -45,9 +48,10 @@ the size of the process's CPU affinity set if os.fork exists (Linux) and
 1 elsewhere. ``_forked`` does run 0 in the caller and each other run in a
 forked child. Writer children format into anonymous files, which the
 caller copies in order; it formats a failed child's run itself, so the
-bytes never depend on a child. Reader runs are cut at "], [", and their
-children fill slices of one shared anonymous mapping; a failed child,
-like a bad block, sends the file to the json.load path.
+bytes never depend on a child. Reader runs are runs of whole blocks; each
+child reads its own byte ranges and fills slices of one shared anonymous
+mapping; a failed child, like a bad block, sends the file to the json.load
+path.
 """
 
 import json
@@ -63,7 +67,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .mps import BondSpectrum, MatrixProductState, SiteTensor, parse_form_tag
-from .tensor import DenseTensor, tensor_new
+from .tensor import DenseTensor
 
 FILE_VERSION = 1
 
@@ -140,16 +144,16 @@ def _write_complex(fh, data: np.ndarray) -> None:
     fh.write("]")
 
 
-# The header of the tensor layout the block reader takes; its shape holds
-# digits, commas and spaces only.
-_TENSOR_HEADER = re.compile(rb'\{"version": 1, "shape": (\[[0-9, ]*\]), "data": \[')
+# The header the block reader takes, up to the first pair's "[", matched in
+# the file's first 4 KiB; its shape holds digits, commas and spaces only.
+_TENSOR_HEADER = re.compile(rb'\{"version": 1, "shape": (\[[0-9, ]*\]), "data": \[(?=\[)')
 # What JSON may spell a number with; no JSON value but a number is made
 # of these bytes alone.
 _NUMBER_BYTES = b"0123456789.eE+-"
-# Payload bytes per json.loads call when reading a tensor: a block's
-# copies and its list of floats take about four times its size, so at
-# 256 KiB a 2^16-entry file (3.2 MB) peaks at 1.7x its size, where 1 MiB
-# blocks give 2.7x; one call still parses some 10^4 numbers.
+# Payload bytes per read and per json.loads call when reading a tensor: a
+# block's copies and its list of floats take about four times its size,
+# all the reader holds beside the array it fills; one call still parses
+# some 10^4 numbers.
 _BLOCK = 1 << 18
 
 
@@ -161,51 +165,55 @@ def _is_shape(shape) -> bool:
     )
 
 
+def _find(fd: int, pos: int, end: int) -> int:
+    """Where the first "], [" whole in the file's bytes [pos, end) starts, or
+    -1. It reads 4 KiB at a time, each read 3 bytes longer so none is split."""
+    for at in range(pos, end, 1 << 12):
+        if (i := os.pread(fd, min((1 << 12) + 3, end - at), at).find(b"], [")) >= 0:
+            return at + i
+    return -1
+
+
 def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
     """(shape, data) of a tensor file in the writers' layout, parsed a
     block of pairs at a time without a list per entry; None for any other
     file, which the json.load path then reads or rejects. ``data`` is
     what json.load would give, not yet checked to be finite."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    head = _TENSOR_HEADER.match(raw)
-    stop = len(raw) - raw.endswith(b"\n") - 2
-    if head is None or raw[stop : stop + 2] != b"]}" or stop <= head.end():
-        return None
-    try:
-        shape = json.loads(head[1])
-        if not _is_shape(shape):
+        fd, length = fh.fileno(), os.fstat(fh.fileno()).st_size
+        head, tail = _TENSOR_HEADER.match(os.pread(fd, 1 << 12, 0)), os.pread(fd, 4, max(length - 4, 0))
+        stop = length - tail.endswith(b"\n") - 2
+        if head is None or not tail.removesuffix(b"\n").endswith(b"]]}") or stop <= head.end():
             return None
-        size = 2 * (raw.count(b"], [", head.end(), stop) + 1)
-        k = min(_WORKERS, size // (2 * _CHUNK))
-        # Range i runs from the "[" ending the i-th cut's "], [" (the
-        # header's "[" for i = 0) to the "]" starting the next cut's.
-        cuts = [raw.index(b"], [", head.end() + i * (stop - head.end()) // k, stop) for i in range(1, k)]
-        cuts = [head.end() - 3, *cuts, stop - 1]
-        offsets = [2 * raw.count(b"], [", head.end(), cut + 4) for cut in cuts[:-1]] + [size]
-        out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
+        try:
+            shape = json.loads(head[1])
+            if not _is_shape(shape):
+                return None
+            # Each block runs from a pair's "[" to the "]" of the first pair
+            # ending _BLOCK bytes on (or of the last pair); its pairs are counted
+            # by their "], [" and fill the float array from ``filled`` on.
+            blocks, pos, size = [], head.end(), 0
+            while pos < stop:
+                cut = _find(fd, pos + _BLOCK, stop)
+                cut = stop if cut < 0 else cut + 1
+                blocks.append((pos, cut, size, os.pread(fd, cut - pos, pos).count(b"], [") + 1))
+                pos, size = cut + 2, size + 2 * blocks[-1][3]
+            k = max(1, min(_WORKERS, size // (2 * _CHUNK)))
+            out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
 
-        def run(i: int) -> None:
-            filled, pos, end = offsets[i], cuts[i] + 3, cuts[i + 1] + 1
-            while pos < end:
-                cut = raw.find(b"], [", pos + _BLOCK, end)
-                cut = end if cut < 0 else cut + 1
-                block = raw[pos:cut]
-                # Its numbers deleted, a block of k pairs reads "[, ], " * (k-1) + "[, ]".
-                skeleton = block.translate(None, _NUMBER_BYTES)
-                pairs = (len(skeleton) + 2) // 6
-                if skeleton != b"[, ], " * (pairs - 1) + b"[, ]":
-                    raise ValueError("not the writers' pair layout")
-                out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
-                filled, pos = filled + 2 * pairs, cut + 2
-            if filled != offsets[i + 1]:
-                raise ValueError("the range's pairs do not fill its slice")
+            def run(i: int) -> None:
+                for pos, cut, filled, pairs in blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k]:
+                    block = os.pread(fd, cut - pos, pos)
+                    # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
+                    if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
+                        raise ValueError("not the writers' pair layout")
+                    out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
 
-        if any(_forked(len(cuts) - 1, run)):
+            if any(_forked(k, run)):
+                return None
+        except (ValueError, OverflowError):
+            # A token json rejects, or an int beyond the float range.
             return None
-    except (ValueError, OverflowError):
-        # A token json rejects, or an int beyond the float range.
-        return None
     return shape, out.view(complex)
 
 
@@ -287,7 +295,7 @@ def load_tensor(path: str) -> DenseTensor:
         _check_finite(data, what)
     if data.size != math.prod(shape):
         raise FileFormatError(f"{what}: {data.size} entries for shape {tuple(shape)}")
-    return tensor_new(tuple(shape), data)
+    return DenseTensor(tuple(shape), data)  # the array filled here, shape checked: no copy
 
 
 def save_mps(path: str, m: MatrixProductState) -> None:
@@ -319,17 +327,12 @@ def load_mps(path: str) -> MatrixProductState:
     for n, raw in enumerate(raw_sites, start=1):
         if not isinstance(raw, dict):
             raise FileFormatError(f"mps file {path!r}: site {n} must be an object")
-        dims = []
         for key in ("phys_dim", "left_dim", "right_dim"):
-            v = raw.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise FileFormatError(
-                    f"mps file {path!r}: site {n} field {key} must be a positive integer"
-                )
-            dims.append(v)
+            if not _is_shape([raw.get(key)]):  # a positive int, not a bool
+                raise FileFormatError(f"mps file {path!r}: site {n} field {key} must be a positive integer")
         data = _decode_complex(raw.get("data"), f"mps file {path!r} site {n}")
         try:
-            sites.append(SiteTensor(dims[0], dims[1], dims[2], data))
+            sites.append(SiteTensor(raw["phys_dim"], raw["left_dim"], raw["right_dim"], data))
         except Exception as exc:
             raise FileFormatError(f"mps file {path!r}: site {n}: {exc}") from exc
     raw_bonds = doc.get("bonds")

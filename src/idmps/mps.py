@@ -58,7 +58,7 @@ from .errors import (
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, _exponent, _lapack_svd, low_rank_error, svd, tensor_new
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _check_entries, _exponent, _lapack_svd, low_rank_error, svd
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 _SLAB = 1 << 16  # block entries per step of _transfer
@@ -325,12 +325,15 @@ def _dense_sweep(
     blocks, cuts = [], []
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
-        res = svd(m.reshape(m.shape[0] * d, -1), rank_tol)
+        m = m.reshape(m.shape[0] * d, -1)  # the unfolding; a copy frees the previous factor
+        res = svd(m, rank_tol)
         cuts.append(_cut(res.s, policy))
         keep = cuts[-1].kept
         blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
+        m = res.vh[:keep]  # S Vh, formed in place
         with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
-            m = res.s[:keep, None] * res.vh[:keep]
+            m *= res.s[:keep, None]
+        del res  # m alone holds this factor, so the next unfolding's copy frees it
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
     return blocks, tuple(cuts)
 
@@ -473,15 +476,16 @@ def from_dense_vidal(
 
 
 def to_dense(m: MatrixProductState) -> DenseTensor:
-    """Contract the chain (including any bond weights) back to a tensor;
-    OverflowError if an entry leaves the double-precision range."""
-    acc = m._chain[0][:, 0, :]
+    """Contract the chain (and any bond weights) back to a tensor; TooLarge past
+    MAX_ENTRIES entries, OverflowError if an entry leaves the double range."""
+    _check_entries(m.phys_dims, "the dense state")
+    acc = np.array(m._chain[0][:, 0, :])  # a copy: the tensor owns its array
     with np.errstate(over="ignore", invalid="ignore"):
         for g in m._chain[1:]:
             acc = np.tensordot(acc, g, axes=([-1], [1]))
     if not np.isfinite(acc).all():
         raise OverflowError("an entry of the contracted state is outside the double-precision range")
-    return tensor_new(m.phys_dims, acc.reshape(-1))
+    return DenseTensor(m.phys_dims, acc.reshape(-1))
 
 
 def _transfer(env: np.ndarray | None, block: np.ndarray, shift: int = 0) -> np.ndarray:
@@ -535,16 +539,17 @@ def state_norm(m: MatrixProductState) -> float:
     return float(np.ldexp(np.sqrt(abs(env[0, 0].real) * 2.0 ** (exp2 % 2)), exp2 // 2))
 
 
+@np.errstate(over="ignore")  # a boundary scalar past the double range is inf
 def _isometry_report(m: MatrixProductState, tag: str, left: int, right: int, tol: float) -> GaugeReport:
     """Sites 1..``left`` checked as left isometries, sites ``right``+1..N
     as right isometries. With right = left + 1, site ``right`` is the
     boundary site: its squared norm is the boundary scalar, and its
     residual |scalar - 1| is reported but not counted. With
     right = left, the weights on bond ``left`` give the scalar."""
-    if right == left + 1:
-        boundary, scalar = right, float(np.sum(np.abs(m.sites[right - 1].data) ** 2))
-    else:
-        boundary, scalar = None, float(np.sum(m.bonds[left - 1].values ** 2))
+    boundary = right if right == left + 1 else None
+    data = m.bonds[left - 1].values if boundary is None else m.sites[right - 1].data
+    e = _exponent(data)  # the squares are taken on data / 2**e
+    scalar = float(np.ldexp(np.sum(np.abs(np.ldexp(data.view(float), -e).view(data.dtype)) ** 2), 2 * e))
     residuals = tuple(
         site_left_residual(site) if n <= left
         else site_right_residual(site) if n > right

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegreeTooLarge, IndexOutOfRange, InsufficientNodes
 from .mps import MatrixProductState, SiteTensor, to_dense
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _check_entries
 
 #: Raw physicist's Hermite values overflow well before this; the
 #: recurrence itself is exact in structure but float-limited.
@@ -51,8 +51,8 @@ class OscillatorParams:
     ``n`` is the number of quanta in the collective mode, ``omega_tilde``
     the common scaled frequency of the decoupled modes, and the three
     angles fix the mode direction. ``phys_cutoff`` truncates each site's
-    infinite basis to its first d functions; it must be at least n+1 so
-    the bond structure fits.
+    infinite basis to its first d functions, at least n+1 so the bond
+    structure fits, and the middle site's d(n+1)^2 entries at most MAX_ENTRIES.
     """
 
     n: int
@@ -73,6 +73,7 @@ class OscillatorParams:
             raise ValueError(
                 f"phys_cutoff must be in n+1={self.n + 1}..{MAX_PHYS_CUTOFF}, got {self.phys_cutoff}"
             )
+        _check_entries((self.phys_cutoff, self.n + 1, self.n + 1), "the middle site")
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,14 @@ from .errors import (
     EmptyShape,
     KeepOutOfRange,
     ShapeMismatch,
+    TooLarge,
 )
 
 #: Singular values below this fraction of the largest one are dropped.
 DEFAULT_RANK_TOL = 1e-12
+
+#: The cap on the entries of an array sized from a file's or a command's numbers: 2**26 (1 GiB complex).
+MAX_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,12 @@ def tensor_new(shape: Sequence[int], data: Sequence[complex] | np.ndarray) -> De
             f"(expected {prod(dims)})"
         )
     return DenseTensor(shape=dims, data=flat)
+
+
+def _check_entries(shape: tuple[int, ...], what: str) -> None:
+    """TooLarge, before anything is allocated, if ``what`` would pass MAX_ENTRIES."""
+    if prod(shape) > MAX_ENTRIES:
+        raise TooLarge(f"{what} of shape {shape}: {prod(shape)} entries, over the cap {MAX_ENTRIES}")
 
 
 def _exponent(x: np.ndarray) -> int:
@@ -156,7 +166,8 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     (u, s, vh), rank = _lapack_svd(a.T if wide else a, True, rank_tol)
     if wide:
         u, vh = vh.T, u.T
-    u, s, vh = u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy()
+    # Views of LAPACK's factors, rotated in place: no full-size copy.
+    u, s, vh = u[:, :rank], s[:rank], vh[:rank]
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(rank)]
     # hypot, unlike np.abs on an array, rounds exactly as the scalar abs.
     phase = pivot / np.hypot(pivot.real, pivot.imag)

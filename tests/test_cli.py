@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -424,6 +425,61 @@ def test_oscillator_cutoff_above_the_limit_exit_1_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def _traced(capsys, *argv):
+    """run_cli's outcome and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        outcome = run_cli(capsys, *argv)
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["reconstruct", "oscillator"])
+def test_size_cap_exit_1_before_allocating(tmp_path, capsys, case):
+    """Commands whose arrays would pass MAX_ENTRIES exit 1 with one line
+    naming the entry count, within 1 MiB of traced memory: a 4 KB file of
+    48 sites of bond dimension 1 (2^48 dense entries), and the oscillator's
+    middle site at n=599, d=600 (600^3 entries). CI runs these under an
+    address-space limit, so a regression that allocates fails at once."""
+    if case == "reconstruct":
+        src = tmp_path / "m.json"
+        save_mps(str(src), MatrixProductState(sites=(SiteTensor(2, 1, 1, np.array([1.0, 0.0])),) * 48))
+        argv, count = ["reconstruct", str(src), "--out", str(tmp_path / "t.json")], 2**48
+    else:
+        argv = ["oscillator", "--n", "599", "--omega-tilde", "1", "--phys-cutoff", "600",
+                "--out-mps", str(tmp_path / "o.json")]
+        count = 600**3
+    (code, report, err), peak = _traced(capsys, *argv)
+    assert (code, report) == (1, None)
+    assert err.startswith("error: ") and f" {count} entries" in err and err.count("\n") == 1
+    assert peak < 1 << 20, peak
+    assert not (tmp_path / "t.json").exists() and not (tmp_path / "o.json").exists()
+
+
+def test_reconstruct_reference_allocates_no_difference_array(tmp_path, capsys):
+    """reconstruct --reference of an 18-site chain (a 4 MiB tensor) holds
+    the state, the reference (read one block at a time) and tensor_norm's
+    scaled copy of one of them: the residual is taken in place in the
+    reference's own array, where a difference array would be a fourth
+    tensor. The writer is patched out; test_io bounds its chunks."""
+    rng = np.random.default_rng(15)
+    dims = [1] + [2] * 17 + [1]
+    m = MatrixProductState(sites=tuple(
+        SiteTensor(2, left, right, rng.standard_normal(2 * left * right) + 0j)
+        for left, right in zip(dims, dims[1:])
+    ))
+    src, ref = tmp_path / "m.json", tmp_path / "ref.json"
+    save_mps(str(src), m)
+    save_tensor(str(ref), to_dense(m))
+    with mock.patch.object(idmps.io, "_WORKERS", 1), mock.patch("idmps.cli.save_tensor"):
+        (code, report, _), peak = _traced(
+            capsys, "reconstruct", str(src), "--out", str(tmp_path / "t.json"), "--reference", str(ref)
+        )
+    assert code == 0 and report["residual"] == 0.0
+    assert peak <= 3 * (16 << 18) + 5 * idmps.io._BLOCK, peak
+
+
 def test_non_finite_tensor_entry_exit_1_without_traceback(tmp_path):
     # 1e400 parses to an infinite float; it must not reach the MPS file.
     src = tmp_path / "inf.json"
@@ -720,6 +776,28 @@ def test_unsorted_bond_weights_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(mps_path))
     assert code == 1
     assert err.strip()
+
+
+@pytest.mark.parametrize("form", ["left", "right", "mixed:2"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_verify_boundary_scalar_at_any_scale(tmp_path, capsys, form, scale):
+    """The boundary scalar (the boundary site's squared norm, or the sum of
+    the squared center weights) is a scaled sum of squares. At norm 1e-200
+    it is 1e-400, which rounds to 0.0; at norm 1e200 it is 1e400, past the
+    double range, and verify exits 2 with one line instead of printing
+    Infinity, which is not JSON."""
+    rng = np.random.default_rng(14)
+    unit = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    src, mps_path = tmp_path / "t.json", tmp_path / "m.json"
+    save_tensor(str(src), tensor_new((2, 2, 2, 2), scale * unit / np.linalg.norm(unit)))
+    assert run_cli(capsys, "decompose", str(src), "--form", form, "--out", str(mps_path))[0] == 0
+    code, report, err = run_cli(capsys, "verify", str(mps_path))
+    if scale > 1.0:
+        assert (code, report) == (2, None)
+        assert err.startswith("numerical failure: the boundary scalar inf ") and err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+        assert report["boundary_scalar"] == 0.0 and report["passed"] is True
 
 
 def test_verify_overflowing_left_site_exit_3_without_traceback(tmp_path, capsys):

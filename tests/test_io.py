@@ -246,6 +246,10 @@ MUTATED_TENSORS = {
     "deep-shape": ([("[4]", "[" * 100000 + "4]")], False),
     "empty-data": ([("[[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [2.0, 3.0]]", "[]")], False),
     "crlf": ([("}\n", "}\r\n")], False),
+    # Number bytes outside every pair: json.load rejects them, and the
+    # skeleton of the first or last block would not show them.
+    "digit-before-first-pair": ([('"data": [[', '"data": [5[')], False),
+    "digit-after-last-pair": ([("3.0]]", "3.0]5]")], False),
 }
 
 
@@ -303,6 +307,25 @@ def test_block_reader_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * path.stat().st_size
+
+
+def test_load_tensor_peak_is_the_tensor_and_one_block(tmp_path):
+    """In one process, load_tensor of a 2^16-entry file (3.2 MB) holds the
+    1 MiB array it fills and adopts, plus one block's working set: the
+    block's bytes, their copies and its list of floats. The file is read
+    by byte range, never whole."""
+    n = 1 << 16
+    rng = np.random.default_rng(13)
+    path = tmp_path / "t.json"
+    save_tensor(str(path), tensor_new((n,), rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    with mock.patch.object(idmps.io, "_WORKERS", 1):
+        tracemalloc.start()
+        try:
+            t = load_tensor(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= t.data.nbytes + 5 * idmps.io._BLOCK, peak
 
 
 def test_save_mps_peak_memory_does_not_grow_with_the_payload(tmp_path):

@@ -856,6 +856,23 @@ def test_norm_and_residuals_peak_memory_does_not_grow_with_the_site():
         assert peak <= 3 << 20, (query.__name__, peak)
 
 
+@pytest.mark.parametrize("form", ["left", "vidal"])
+def test_dense_sweep_holds_one_unfolding_and_one_factor(form):
+    """Beside the caller's 1 MiB tensor, decomposing it (bonds capped at 4,
+    so the sites are small) holds at most one unfolding and one SVD
+    factor, each at most the tensor's size, and numpy's 128 KiB buffer
+    for the S Vh cast. Copies of full-size factors in ``svd``, or a new
+    S Vh beside Vh, would exceed it."""
+    t = random_tensor(np.random.default_rng(49), (2,) * 16)
+    tracemalloc.start()
+    try:
+        decompose(t, form, None, TruncationPolicy(max_bond=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * t.data.nbytes + (1 << 18), peak
+
+
 def test_verify_vidal_peak_memory_holds_one_weighted_block_at_a_time():
     """A fresh full-rank d=2, N=16 Vidal state (2.7 MiB of sites) verifies
     within 7.5 MiB of traced memory: the check builds the cached chain,
