@@ -49,7 +49,7 @@ def _rank_tol() -> float:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def cmd_decompose(args) -> int:
@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
     report = verify(load_mps(args.input), args.tol)
     if report.boundary_scalar is not None:
         _finite("boundary scalar", report.boundary_scalar)
-    _emit(report.as_dict())
+    _emit(report.as_dict() | {"residuals": [r if np.isfinite(r) else None for r in report.residuals]})
     return 0 if report.passed else 3
 
 

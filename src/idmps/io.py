@@ -16,56 +16,56 @@ round-trip repr via the json module, so write->read is bit-stable.
 Every payload entry must be finite: NaN, infinities and numbers beyond
 the float range are rejected on load.
 
-The writers stream each document: a fixed skeleton with json.dump's key
-order and separators, and each [re, im] payload in chunks of ``_CHUNK``
-pairs. A chunk's zeros share two strings and are never formatted; its
-nonzero floats go through one json.dumps call. The files are byte for
-byte what json.dump of the whole document writes, without ever building
-that document.
+The writers stream each document as one list of items: skeleton text
+with json.dump's key order and separators, and each [re, im] payload as
+chunks of ``_CHUNK`` pairs. A chunk's zeros share two strings and are
+never formatted; its nonzero floats go through one json.dumps call. The
+files are byte for byte what json.dump of the whole document writes,
+without ever building that document.
 
-load_tensor first tries a block reader for the layout those writers (and
-json.dump) emit: the exact header {"version": 1, "shape": [...], "data": [,
-the pairs joined by ", ", then "]]}" and an optional newline. It reads
-the file by byte range (os.pread), never whole: one pass cuts the payload
+Both loaders first try one block reader, for the layout json.dump (and so
+the writers) emit. It reads the file by byte range (os.pread), never
+whole. A payload runs from '"data": [[' to the "]]" just before the next
+"}" (so "data" is its object's last key). One pass cuts every payload
 into blocks of about ``_BLOCK`` bytes at "], [" boundaries and counts
-their pairs, a second parses them. A block with its number characters
-(0-9 . e E + -) deleted must read "[, ], " per counted pair, the last as
-"[, ]", which proves the pair structure; with its brackets deleted,
-json.loads parses the numbers, so json's own scanner decides what is a
-number and its value. The values fill one float array sized from the
-pairs counted, never from the declared shape, which the tensor adopts
-without a copy. Any other file (other whitespace or key order, NaN,
-booleans, an int beyond the float range, a bad token) falls back to
-json.load, which also produces every error message; the finiteness and
-entry-count checks run on both paths.
-MPS files always take the json.load path, which type-checks and converts
-a payload in bulk and walks it entry by entry only to name the first bad
-entry.
+their pairs, a second parses them. A block with its number
+characters (0-9 . e E + -) deleted must read "[, ], " per counted pair,
+the last as "[, ]", which proves the pair structure; with its brackets
+deleted, json.loads parses the numbers, so json's own scanner decides
+what is a number and its value. All payloads fill one float array sized
+from the pairs counted, never from declared dimensions; each payload's
+array is a slice of it, which the tensor or the site adopts without a
+copy. The skeleton (the file with each payload replaced by NaN) goes
+through json.loads, whose parse_constant puts each payload's array in
+its place. It must hold no backslash, so no payload hides in a string,
+and it must be json.dumps's text of what it parsed to, so no other
+constant, repeated key or other spacing hides there. load_tensor further
+asks for save_tensor's keys in order and a valid shape. Any other file
+falls back to json.load, which also produces every error message; the
+documents of both paths go through the same checks.
 
-A payload of at least 2 * ``_CHUNK`` pairs is split into k runs of whole
-chunks, k = min(``_WORKERS``, pairs // ``_CHUNK``), where ``_WORKERS`` is
-the size of the process's CPU affinity set if os.fork exists (Linux) and
-1 elsewhere. ``_forked`` does run 0 in the caller and each other run in a
-forked child. Writer children format into anonymous files, which the
-caller copies in order; it formats a failed child's run itself, so the
-bytes never depend on a child. Reader runs are runs of whole blocks; each
-child reads its own byte ranges and fills slices of one shared anonymous
-mapping; a failed child, like a bad block, sends the file to the json.load
-path.
+Both codecs split a document whose payloads hold at least 2 * ``_CHUNK``
+pairs in all into k runs of whole chunks (writer) or blocks (reader), k =
+min(``_WORKERS``, pairs // ``_CHUNK``), where ``_WORKERS`` is the size of
+the process's CPU affinity set if os.fork exists (Linux) and 1 elsewhere;
+a run may span site boundaries. ``_forked`` does run 0 in the caller and
+each other run in a forked child. Writer children format into anonymous
+files, which the caller copies in order; it formats a failed child's run
+itself, so the bytes never depend on a child. Each reader child reads its
+own byte ranges and fills slices of one shared anonymous mapping; a
+failed child, like a bad block, sends the file to the json.load path.
 """
 
 import json
 import math
 import mmap
 import os
-import re
 import shutil
 from contextlib import ExitStack
-from itertools import chain
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import DimChainBroken, FileFormatError
 from .mps import BondSpectrum, MatrixProductState, SiteTensor, parse_form_tag
 from .tensor import DenseTensor
 
@@ -110,10 +110,22 @@ def _texts(values: np.ndarray) -> list[str]:
     return out.tolist()
 
 
-def _write_chunks(fh, flat: np.ndarray, starts: range) -> None:
-    """Write the chunks of pairs of ``flat`` that start at the float offsets
-    ``starts``, then flush: a forked child leaves without flushing."""
-    for start in starts:
+def _pair_items(data: np.ndarray) -> list:
+    """The writer's items for ``data`` as the JSON list [[re, im], ...]: its
+    brackets and, per chunk, the flat float view and the chunk's offset in it."""
+    flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
+    return ["[", *((flat, start) for start in range(0, len(flat), 2 * _CHUNK)), "]"]
+
+
+def _write_items(fh, items: list) -> None:
+    """Write ``items`` in order, then flush: a forked child leaves without
+    flushing. A string is written as it is, a (flat, start) item as the
+    pairs of its chunk."""
+    for item in items:
+        if isinstance(item, str):
+            fh.write(item)
+            continue
+        flat, start = item
         texts = _texts(flat[start : start + 2 * _CHUNK])
         parts = [None, ", ", None, "], ["] * (len(texts) // 2)
         parts[0::2] = texts
@@ -123,34 +135,30 @@ def _write_chunks(fh, flat: np.ndarray, starts: range) -> None:
     fh.flush()
 
 
-def _write_complex(fh, data: np.ndarray) -> None:
-    """Write ``data`` as the JSON list [[re, im], ...], byte for byte what
-    json.dump writes for it, ``_CHUNK`` pairs at a time; each run of chunks
-    after the first is formatted in a forked child into an anonymous file."""
-    flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
-    starts = range(0, len(flat), 2 * _CHUNK)
-    k = max(1, min(_WORKERS, len(flat) // (2 * _CHUNK)))
-    runs = [starts[i * len(starts) // k : (i + 1) * len(starts) // k] for i in range(k)]
-    fh.write("[")
+def _write(fh, items: list) -> None:
+    """Write a document's ``items`` (see ``_write_items``) in k runs of
+    whole chunks, k = min(``_WORKERS``, pairs // ``_CHUNK``); each run after
+    the first is formatted in a forked child into an anonymous file."""
+    chunks = [n for n, item in enumerate(items) if not isinstance(item, str)]
+    pairs = sum(min(2 * _CHUNK, items[n][0].size - items[n][1]) for n in chunks) // 2
+    k = max(1, min(_WORKERS, pairs // _CHUNK))
+    cuts = [0, *(chunks[i * len(chunks) // k] for i in range(1, k)), len(items)]
+    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     with ExitStack() as stack:
         files = [fh] + [stack.enter_context(open(os.memfd_create("idmps"), "w+")) for _ in runs[1:]]
-        statuses = _forked(k, lambda i: _write_chunks(files[i], flat, runs[i]))
+        statuses = _forked(k, lambda i: _write_items(files[i], runs[i]))
         for run, out, status in zip(runs[1:], files[1:], statuses):
             if status:  # the child failed: format its run here
-                _write_chunks(fh, flat, run)
+                _write_items(fh, run)
             else:
                 out.seek(0)
                 shutil.copyfileobj(out, fh)
-    fh.write("]")
 
 
-# The header the block reader takes, up to the first pair's "[", matched in
-# the file's first 4 KiB; its shape holds digits, commas and spaces only.
-_TENSOR_HEADER = re.compile(rb'\{"version": 1, "shape": (\[[0-9, ]*\]), "data": \[(?=\[)')
 # What JSON may spell a number with; no JSON value but a number is made
 # of these bytes alone.
 _NUMBER_BYTES = b"0123456789.eE+-"
-# Payload bytes per read and per json.loads call when reading a tensor: a
+# Payload bytes per read and per json.loads call when reading a file: a
 # block's copies and its list of floats take about four times its size,
 # all the reader holds beside the array it fills; one call still parses
 # some 10^4 numbers.
@@ -165,56 +173,81 @@ def _is_shape(shape) -> bool:
     )
 
 
-def _find(fd: int, pos: int, end: int) -> int:
-    """Where the first "], [" whole in the file's bytes [pos, end) starts, or
-    -1. It reads 4 KiB at a time, each read 3 bytes longer so none is split."""
+def _find(fd: int, pattern: bytes, pos: int, end: int) -> int:
+    """Where the first ``pattern`` whole in the file's bytes [pos, end) starts,
+    or -1. It reads 4 KiB at a time, each read len(pattern) - 1 bytes longer
+    so none is split."""
     for at in range(pos, end, 1 << 12):
-        if (i := os.pread(fd, min((1 << 12) + 3, end - at), at).find(b"], [")) >= 0:
+        if (i := os.pread(fd, min((1 << 12) + len(pattern) - 1, end - at), at).find(pattern)) >= 0:
             return at + i
     return -1
 
 
-def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
-    """(shape, data) of a tensor file in the writers' layout, parsed a
-    block of pairs at a time without a list per entry; None for any other
-    file, which the json.load path then reads or rejects. ``data`` is
-    what json.load would give, not yet checked to be finite."""
+def _read_blocks(path: str) -> dict | list | None:
+    """What json.load gives for a file in the writers' layout, except that
+    each payload is a complex array (not yet checked to be finite), parsed
+    a block of pairs at a time without a list per entry; None for any other
+    file, which the json.load path then reads or rejects."""
     with open(path, "rb") as fh:
         fd, length = fh.fileno(), os.fstat(fh.fileno()).st_size
-        head, tail = _TENSOR_HEADER.match(os.pread(fd, 1 << 12, 0)), os.pread(fd, 4, max(length - 4, 0))
-        stop = length - tail.endswith(b"\n") - 2
-        if head is None or not tail.removesuffix(b"\n").endswith(b"]]}") or stop <= head.end():
+        # A payload runs from '"data": [' to the "]]" before the next "}", its blocks
+        # from a pair's "[" to the "]" of the first pair ending _BLOCK bytes on (or
+        # of its last pair); their pairs, counted by their "], [", fill the float
+        # array from ``filled`` on. The skeleton is the file, each payload now NaN.
+        skeleton, blocks, payloads, pos, size = [], [], [], 0, 0
+        while (at := _find(fd, b'"data": [[', pos, length)) >= 0:
+            skeleton.append(os.pread(fd, at + 8 - pos, pos) + b"NaN")
+            start, pos, last = size, at + 9, False
+            while not last:
+                cut = _find(fd, b"], [", pos + _BLOCK, length)
+                block = os.pread(fd, (length if cut < 0 else cut + 1) - pos, pos)
+                close = block.find(b"}")  # in the writers' layout, right after the payload's "]]"
+                if (close < 0 and cut < 0) or (close >= 0 and block[close - 2 : close] != b"]]"):
+                    return None  # the payload never closes, or is not its object's last value
+                last, end = close >= 0, close - 2 if close >= 0 else len(block) - 1  # the block's last "]"
+                pairs = block.count(b"], [", 0, end) + 1
+                blocks.append((pos, pos + end + 1, size, pairs))
+                pos, size = pos + end + (2 if last else 3), size + 2 * pairs  # past "]" or "], "
+            payloads.append((start, size))
+        if not payloads:
             return None
+        skeleton.append(os.pread(fd, length - pos, pos))
+        k = max(1, min(_WORKERS, size // (2 * _CHUNK)))
+        out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
+        arrays = iter([out[a:b].view(complex) for a, b in payloads])
+
+        def run(i: int) -> None:
+            for pos, cut, filled, pairs in blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k]:
+                block = os.pread(fd, cut - pos, pos)
+                # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
+                if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
+                    raise ValueError("not the writers' pair layout")
+                out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
+
         try:
-            shape = json.loads(head[1])
-            if not _is_shape(shape):
+            text = b"".join(skeleton).decode()
+            if "\\" in text:
                 return None
-            # Each block runs from a pair's "[" to the "]" of the first pair
-            # ending _BLOCK bytes on (or of the last pair); its pairs are counted
-            # by their "], [" and fill the float array from ``filled`` on.
-            blocks, pos, size = [], head.end(), 0
-            while pos < stop:
-                cut = _find(fd, pos + _BLOCK, stop)
-                cut = stop if cut < 0 else cut + 1
-                blocks.append((pos, cut, size, os.pread(fd, cut - pos, pos).count(b"], [") + 1))
-                pos, size = cut + 2, size + 2 * blocks[-1][3]
-            k = max(1, min(_WORKERS, size // (2 * _CHUNK)))
-            out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
-
-            def run(i: int) -> None:
-                for pos, cut, filled, pairs in blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k]:
-                    block = os.pread(fd, cut - pos, pos)
-                    # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
-                    if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
-                        raise ValueError("not the writers' pair layout")
-                    out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
-
-            if any(_forked(k, run)):
+            # With no escape, no payload lies inside a string: json scans each NaN in
+            # turn. As json.dumps's text of what it parsed to, the skeleton hides no
+            # other constant, repeated key or other spacing.
+            doc = json.loads(text, parse_constant=lambda name: next(arrays, None))
+            if json.dumps(doc, default=lambda array: math.nan) != text.removesuffix("\n") or any(_forked(k, run)):
                 return None
-        except (ValueError, OverflowError):
-            # A token json rejects, or an int beyond the float range.
+        except (ValueError, OverflowError, RecursionError):
+            # A token json rejects, an int beyond the float range, or nesting too deep.
             return None
-    return shape, out.view(complex)
+    return doc
+
+
+def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
+    """(shape, data) of a tensor file that ``_read_blocks`` reads, laid out as save_tensor
+    writes it (keys version 1, shape and a payload as data, in that order); else None."""
+    doc = _read_blocks(path)
+    if isinstance(doc, dict) and [*doc] == ["version", "shape", "data"] and doc["version"] == FILE_VERSION:
+        if _is_shape(doc["shape"]) and isinstance(doc["data"], np.ndarray):
+            return doc["shape"], doc["data"]
+    return None
 
 
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -224,49 +257,37 @@ def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _bulk_pairs(pairs: list) -> np.ndarray | None:
-    """All entries as one complex array, or None when some entry is not a
-    [re, im] pair of numbers or overflows a float."""
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        return np.array(flat, dtype=float).view(complex)
-    except OverflowError:
-        return None
-
-
 def _decode_complex(pairs, what: str) -> np.ndarray:
+    """The block reader's array, or json.load's pairs entry by entry (naming the first bad one), if finite."""
+    if isinstance(pairs, np.ndarray):
+        return _check_finite(pairs, what)
     if not isinstance(pairs, list):
         raise FileFormatError(f"{what}: data must be a list of [re, im] pairs")
-    out = _bulk_pairs(pairs)
-    if out is None:
-        # Entry by entry, only to name the first bad one.
-        out = np.empty(len(pairs), dtype=complex)
-        for i, pair in enumerate(pairs):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            ):
-                raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
-            try:
-                out[i] = complex(pair[0], pair[1])
-            except OverflowError:
-                raise FileFormatError(f"{what}: entry {i} is not finite") from None
+    out = np.empty(len(pairs), dtype=complex)
+    for i, pair in enumerate(pairs):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        ):
+            raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise FileFormatError(f"{what}: entry {i} is not finite") from None
     return _check_finite(out, what)
 
 
-def _load_document(path: str, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{what} {path!r}: invalid JSON ({exc})") from exc
-    except RecursionError:
-        raise FileFormatError(f"{what} {path!r}: JSON nested too deeply") from None
+def _load_document(path: str, what: str, doc=None) -> dict:
+    """``doc`` (the block reader's) or json.load's, checked to be an object of this version."""
+    if doc is None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{what} {path!r}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise FileFormatError(f"{what} {path!r}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what} {path!r}: top level must be an object")
     if doc.get("version") != FILE_VERSION:
@@ -276,46 +297,35 @@ def _load_document(path: str, what: str) -> dict:
 
 def save_tensor(path: str, t: DenseTensor) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"version": {FILE_VERSION}, "shape": {json.dumps(list(t.shape))}, "data": ')
-        _write_complex(fh, t.data)
-        fh.write("}\n")
+        header = f'{{"version": {FILE_VERSION}, "shape": {json.dumps(list(t.shape))}, "data": '
+        _write(fh, [header, *_pair_items(t.data), "}\n"])
 
 
 def load_tensor(path: str) -> DenseTensor:
     what = f"tensor file {path!r}"
-    fast = _read_tensor_blocks(path)
-    if fast is None:
-        doc = _load_document(path, "tensor file")
-        shape = doc.get("shape")
-        if not _is_shape(shape):
-            raise FileFormatError(f"{what}: shape must be a list of positive integers")
-        data = _decode_complex(doc.get("data"), what)
-    else:
-        shape, data = fast
-        _check_finite(data, what)
+    # The block reader's (shape, data), or json.load's.
+    shape, data = _read_tensor_blocks(path) or map(_load_document(path, "tensor file").get, ("shape", "data"))
+    if not _is_shape(shape):
+        raise FileFormatError(f"{what}: shape must be a list of positive integers")
+    data = _decode_complex(data, what)
     if data.size != math.prod(shape):
         raise FileFormatError(f"{what}: {data.size} entries for shape {tuple(shape)}")
     return DenseTensor(tuple(shape), data)  # the array filled here, shape checked: no copy
 
 
 def save_mps(path: str, m: MatrixProductState) -> None:
+    items = [f'{{"version": {FILE_VERSION}, "form": {json.dumps(m.tag)}, "sites": [']
+    for n, s in enumerate(m.sites):
+        items += [f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
+                  f'"right_dim": {s.right_dim}, "data": ', *_pair_items(s.data), "}"]
+    bonds = None if m.bonds is None else [None if b is None else b.values.tolist() for b in m.bonds]
+    items.append(f'], "bonds": {json.dumps(bonds)}}}\n')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"version": {FILE_VERSION}, "form": {json.dumps(m.tag)}, "sites": [')
-        for n, s in enumerate(m.sites):
-            fh.write(
-                f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
-                f'"right_dim": {s.right_dim}, "data": '
-            )
-            _write_complex(fh, s.data)
-            fh.write("}")
-        bonds = None
-        if m.bonds is not None:
-            bonds = [None if b is None else b.values.tolist() for b in m.bonds]
-        fh.write(f'], "bonds": {json.dumps(bonds)}}}\n')
+        _write(fh, items)
 
 
 def load_mps(path: str) -> MatrixProductState:
-    doc = _load_document(path, "mps file")
+    doc = _load_document(path, "mps file", _read_blocks(path))
     try:
         form, center = parse_form_tag(doc.get("form"))
     except ValueError as exc:
@@ -331,6 +341,7 @@ def load_mps(path: str) -> MatrixProductState:
             if not _is_shape([raw.get(key)]):  # a positive int, not a bool
                 raise FileFormatError(f"mps file {path!r}: site {n} field {key} must be a positive integer")
         data = _decode_complex(raw.get("data"), f"mps file {path!r} site {n}")
+        data.flags.writeable = False  # nothing else holds it, so the site adopts it
         try:
             sites.append(SiteTensor(raw["phys_dim"], raw["left_dim"], raw["right_dim"], data))
         except Exception as exc:
@@ -365,5 +376,5 @@ def load_mps(path: str) -> MatrixProductState:
             form=form,
             center=center,
         )
-    except ValueError as exc:
+    except (ValueError, DimChainBroken) as exc:
         raise FileFormatError(f"mps file {path!r}: {exc}") from exc

@@ -58,10 +58,10 @@ from .errors import (
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, _check_entries, _exponent, _lapack_svd, low_rank_error, svd
+from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_entries, _exponent, _lapack_svd
+from .tensor import low_rank_error, svd
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
-_SLAB = 1 << 16  # block entries per step of _transfer
 _CHAIN_RANGE = "the state's chain, its bond weights folded in, is outside the double-precision range"
 
 
@@ -71,7 +71,8 @@ class SiteTensor:
 
     ``data`` is flat with entry (k, a_left, a_right) at index
     (k * left_dim + a_left) * right_dim + a_right. It is a read-only copy
-    of the array given, as is the shaped view ``as_array`` returns.
+    of the array given, as is the shaped view ``as_array`` returns; an array
+    given read-only (which must then not change) is kept, not copied.
     """
 
     phys_dim: int
@@ -84,7 +85,8 @@ class SiteTensor:
             raise ShapeMismatch(
                 f"site dims must be >= 1, got ({self.phys_dim}, {self.left_dim}, {self.right_dim})"
             )
-        flat = np.array(self.data, dtype=complex, order="C").reshape(-1)
+        keep = isinstance(self.data, np.ndarray) and not self.data.flags.writeable
+        flat = (np.asarray if keep else np.array)(self.data, dtype=complex, order="C").reshape(-1)
         expected = self.phys_dim * self.left_dim * self.right_dim
         if flat.size != expected:
             raise ShapeMismatch(f"site data length {flat.size}, expected {expected}")
@@ -494,11 +496,15 @@ def _transfer(env: np.ndarray | None, block: np.ndarray, shift: int = 0) -> np.n
     across one site, in slabs of k of at most ``_SLAB`` entries (or one k)."""
     out, right, step = 0, block.shape[2], max(1, _SLAB // block[0].size)
     for g in np.split(block, range(step, len(block), step)):
-        # The slab's own scaled copy (a mirrored slab is made contiguous first), conjugated in place.
-        flat = np.ldexp(np.ascontiguousarray(g.reshape(-1, right)).view(float), -shift).view(complex)
-        carried = flat.copy() if env is None else np.matmul(env, flat.reshape(g.shape)).reshape(flat.shape)
+        flat = np.array(g, order="C").reshape(-1, right)  # the slab's own copy, scaled and conjugated in place
+        if shift:
+            np.ldexp(flat.view(float), -shift, out=flat.view(float))
+        if env is None:  # the other factor is then the slab itself, or its scaled copy
+            carried = flat.copy() if shift else np.ascontiguousarray(g.reshape(-1, right))
+        else:
+            carried = np.matmul(env, flat.reshape(g.shape)).reshape(flat.shape)
         out += np.conjugate(flat, out=flat).T @ carried
-        del flat, carried  # free both copies before the next slab's
+        del flat, carried  # free both before the next slab's
     return out
 
 

@@ -27,6 +27,7 @@ DEFAULT_RANK_TOL = 1e-12
 
 #: The cap on the entries of an array sized from a file's or a command's numbers: 2**26 (1 GiB complex).
 MAX_ENTRIES = 1 << 26
+_SLAB = 1 << 16  # entries per step of a sum of squares (tensor_norm, mps._transfer)
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,14 @@ def _exponent(x: np.ndarray) -> int:
 @np.errstate(over="ignore")
 def tensor_norm(t: DenseTensor) -> float:
     """Euclidean (Hilbert-space) norm of the coefficient data, at any scale
-    (see ``_exponent``); inf only past the double-precision range."""
-    e = _exponent(t.data)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(t.data.view(float), -e).view(complex)), e))
+    (see ``_exponent``); inf only past the double-precision range. It scales
+    and sums ``_SLAB`` entries at a time, never copying the whole data."""
+    flat, e, total = t.data.reshape(-1).view(float), _exponent(t.data), 0.0
+    for start in range(0, flat.size, 2 * _SLAB):
+        part = np.ldexp(flat[start : start + 2 * _SLAB], -e)
+        total += part[0::2] @ part[0::2] + part[1::2] @ part[1::2]  # as np.linalg.norm sums a slab
+        del part  # before the next slab's
+    return float(np.ldexp(np.sqrt(total), e))
 
 
 def _check_cut(ndim: int, cut: int) -> None:

@@ -457,12 +457,10 @@ def test_size_cap_exit_1_before_allocating(tmp_path, capsys, case):
     assert not (tmp_path / "t.json").exists() and not (tmp_path / "o.json").exists()
 
 
-def test_reconstruct_reference_allocates_no_difference_array(tmp_path, capsys):
-    """reconstruct --reference of an 18-site chain (a 4 MiB tensor) holds
-    the state, the reference (read one block at a time) and tensor_norm's
-    scaled copy of one of them: the residual is taken in place in the
-    reference's own array, where a difference array would be a fourth
-    tensor. The writer is patched out; test_io bounds its chunks."""
+def _reconstruct_with_reference(tmp_path, capsys):
+    """reconstruct --reference of an 18-site chain (a 4 MiB tensor) on one
+    CPU, the writer patched out (test_io bounds its chunks): the outcome
+    and the traced peak."""
     rng = np.random.default_rng(15)
     dims = [1] + [2] * 17 + [1]
     m = MatrixProductState(sites=tuple(
@@ -473,11 +471,28 @@ def test_reconstruct_reference_allocates_no_difference_array(tmp_path, capsys):
     save_mps(str(src), m)
     save_tensor(str(ref), to_dense(m))
     with mock.patch.object(idmps.io, "_WORKERS", 1), mock.patch("idmps.cli.save_tensor"):
-        (code, report, _), peak = _traced(
+        return _traced(
             capsys, "reconstruct", str(src), "--out", str(tmp_path / "t.json"), "--reference", str(ref)
         )
+
+
+def test_reconstruct_reference_allocates_no_difference_array(tmp_path, capsys):
+    """The residual is taken in place in the reference's own array, where a
+    difference array would be a third tensor beside the state and the
+    reference (read one block at a time)."""
+    (code, report, _), peak = _reconstruct_with_reference(tmp_path, capsys)
     assert code == 0 and report["residual"] == 0.0
     assert peak <= 3 * (16 << 18) + 5 * idmps.io._BLOCK, peak
+
+
+def test_reconstruct_reference_holds_two_tensors(tmp_path, capsys):
+    """Beside the state and the reference, reconstruct --reference holds at
+    most one block of the reader's or one slab of tensor_norm's: the norms
+    take their scaled sums of squares slab by slab, never from a scaled
+    copy of a whole tensor."""
+    (code, report, _), peak = _reconstruct_with_reference(tmp_path, capsys)
+    assert code == 0 and report["residual"] == 0.0
+    assert peak <= 2 * (16 << 18) + 5 * idmps.io._BLOCK, peak
 
 
 def test_non_finite_tensor_entry_exit_1_without_traceback(tmp_path):
@@ -808,9 +823,14 @@ def test_verify_overflowing_left_site_exit_3_without_traceback(tmp_path, capsys)
     mps_path.write_text(json.dumps(doc))
     proc = run_cli_process("verify", str(mps_path))
     assert proc.returncode == 3, proc.stdout
-    report = json.loads(proc.stdout)
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads(proc.stdout, parse_constant=strict)
     assert report["passed"] is False
     assert report["worst_site"] == 2
+    assert report["residuals"][1] is None
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ""
 
@@ -890,6 +910,17 @@ EXTREME_NUMBERS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
     -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), 2**63, 2**64, 10**400, -(10**400),
 ]
+DIM_SIZES = [1, 2, 3, 4, 6, 12, 2**20, 2**40]
+
+
+def _dim_slots(doc: dict) -> list:
+    """(container, key) of every site dimension and tensor shape entry of ``doc``."""
+    sites = doc.get("sites") if isinstance(doc.get("sites"), list) else []
+    shape = doc.get("shape") if isinstance(doc.get("shape"), list) else []
+    return [
+        (site, key) for site in sites if isinstance(site, dict)
+        for key in ("phys_dim", "left_dim", "right_dim") if key in site
+    ] + [(shape, i) for i in range(len(shape))]
 
 
 @functools.lru_cache(maxsize=1)
@@ -930,21 +961,30 @@ def _dump(node, extra: dict) -> str:
 def _mutated(data, text: str) -> bytes:
     """``text`` with a few bytes flipped, or with up to three edits to its
     document: a key or item deleted, a key duplicated, a value swapped for
-    another type, or a number swapped for an extreme one."""
+    another type, a number swapped for an extreme one, or a dimension
+    (a site's or the shape's) set to another size or swapped with one of
+    its neighbours, which keeps their product."""
     if data.draw(st.booleans()):
         raw = bytearray(text.encode())
         for _ in range(data.draw(st.integers(1, 3))):
             raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
         return bytes(raw)
     doc, extra = json.loads(text), {}
-    for kind in data.draw(st.lists(st.sampled_from(["delete", "duplicate", "swap", "extreme"]), min_size=1, max_size=3)):
-        slots = list(_slots(doc))
+    kinds = ["delete", "duplicate", "swap", "extreme", "dims"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        slots = _dim_slots(doc) if kind == "dims" else list(_slots(doc))
         if kind == "extreme":
             slots = [(p, k) for p, k in slots if type(p[k]) in (int, float)]
         if not slots:
             break
         parent, key = data.draw(st.sampled_from(slots))
-        if kind == "delete":
+        if kind == "dims":
+            other = data.draw(st.sampled_from([k for p, k in slots if p is parent]))
+            if data.draw(st.booleans()):
+                parent[key], parent[other] = parent[other], parent[key]
+            else:
+                parent[key] = data.draw(st.sampled_from(DIM_SIZES))
+        elif kind == "delete":
             del parent[key]
         elif kind == "extreme":
             parent[key] = data.draw(st.sampled_from(EXTREME_NUMBERS))

@@ -1,8 +1,8 @@
 """File formats: the streamed writers against json.dump of the whole
-document and their peak memory, bulk decoding, the tensor block reader
-against the json.load path, both split across forked processes,
-rejection of malformed or non-finite payloads, and the oscillator CSV
-against csv.writer."""
+document and their peak memory, the block reader of tensor and MPS files
+against the json.load path and its peak memory, both split across forked
+processes, rejection of malformed or non-finite payloads, and the
+oscillator CSV against csv.writer."""
 
 import csv
 import filecmp
@@ -36,7 +36,7 @@ from idmps import (
 import idmps.cli
 import idmps.io
 from idmps.cli import _write_decay_csv, main
-from idmps.io import _CHUNK, _write_complex
+from idmps.io import _CHUNK, _pair_items, _write
 
 LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -69,7 +69,7 @@ def _payload(length: int, real: bool, seed: int) -> np.ndarray:
 def test_write_complex_matches_json_dump(length):
     data = _payload(length, real=False, seed=length)
     buf = io.StringIO()
-    _write_complex(buf, data)
+    _write(buf, _pair_items(data))
     assert buf.getvalue() == json.dumps(_pairs(data))
 
 
@@ -159,7 +159,7 @@ def test_write_complex_is_json_dumps_for_repeated_and_special_values(
 ):
     flat = np.random.default_rng(seed).choice(np.array(pool), size=2 * length)
     buf = io.StringIO()
-    _write_complex(buf, flat.view(complex))
+    _write(buf, _pair_items(flat.view(complex)))
     assert buf.getvalue() == json.dumps(flat.reshape(-1, 2).tolist())
     if length:
         data = np.where(np.isfinite(flat), flat, 0.5).view(complex)
@@ -293,6 +293,84 @@ def test_block_reader_agrees_with_json_load(tmp_path, name, block):
         assert got.endswith(": 4 entries for shape (1099511627776,)")
 
 
+BASE_MPS = (
+    '{"version": 1, "form": "vidal", "sites": ['
+    '{"phys_dim": 2, "left_dim": 1, "right_dim": 2, "data": [[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [2.0, 3.0]]}, '
+    '{"phys_dim": 2, "left_dim": 2, "right_dim": 1, "data": [[0.5, 0.0], [0.0, 0.5], [1.5, 0.0], [0.0, -1.0]]}], '
+    '"bonds": [[0.75, 0.25]]}\n'
+)
+FORM_WITH_PAYLOAD = ('"form": "vidal"', '"form": "vidal\\"data\\": [[1.0, 2.0]]"')
+
+# (edits to BASE_MPS, whether the block reader takes the result)
+MUTATED_MPS = {
+    "unchanged": ([], True),
+    "int": ([("[0.5, -0.25]", "[3, -0.25]")], True),
+    "exponent": ([("[2.0, 3.0]]", "[2E0, 3e-0]]")], True),
+    "overflow": ([("[1.5, 0.0]", "[1e400, 0.0]")], True),
+    "no-newline": ([("}\n", "}")], True),
+    "pair-short": ([(", [2.0, 3.0]]", "]")], True),
+    "pair-past": ([("[2.0, 3.0]]", "[2.0, 3.0], [1.0, 1.0]]")], True),
+    "empty-site-data": ([("[[0.5, 0.0], [0.0, 0.5], [1.5, 0.0], [0.0, -1.0]]", "[]")], True),
+    "huge-dim": ([('"phys_dim": 2, "left_dim": 1', '"phys_dim": 1099511627776, "left_dim": 1')], True),
+    "dims-permuted": ([('"phys_dim": 2, "left_dim": 2, "right_dim": 1', '"phys_dim": 1, "left_dim": 2, "right_dim": 2')], True),
+    "swapped-site-keys": ([('"phys_dim": 2, "left_dim": 1', '"left_dim": 1, "phys_dim": 2')], True),
+    "swapped-top-keys": ([('"version": 1, "form": "vidal"', '"form": "vidal", "version": 1')], True),
+    "version-2": ([('"version": 1', '"version": 2')], True),
+    "top-level-list": ([('{"version"', '[{"version"'), ("}\n", "}]\n")], True),
+    "bonds-null": ([("[[0.75, 0.25]]", "null")], True),
+    "plus": ([("[0.5, -0.25]", "[+1, -0.25]")], False),
+    "trailing-dot": ([("[0.5, -0.25]", "[1., -0.25]")], False),
+    "nan": ([("[0.5, -0.25]", "[NaN, -0.25]")], False),
+    "bool": ([("[0.5, -0.25]", "[true, -0.25]")], False),
+    "nan-bond": ([("[[0.75, 0.25]]", "[[NaN, 0.25]]")], False),
+    "spaces-in-payload": ([("[0.5, -0.25]", "[0.5,  -0.25]")], False),
+    "spaces-in-skeleton": ([('"sites": [{', '"sites": [ {')], False),
+    "crlf": ([("}\n", "}\r\n")], False),
+    "repeated-data-key": ([('"right_dim": 2, "data": [[', '"right_dim": 2, "data": [[9.0, 9.0]], "data": [[')], False),
+    "escaped-form": ([('"form": "vidal"', '"form": "vid\\u0061l"')], False),
+    # Number bytes outside a site's pairs: json.load rejects them.
+    "digit-before-first-pair": ([('"data": [[1.0, 0.0]', '"data": [5[1.0, 0.0]')], False),
+    "digit-after-last-pair": ([("[2.0, 3.0]]", "[2.0, 3.0]5]")], False),
+    # A payload's text inside a string, alone and with a NaN that could take its place.
+    "payload-in-form": ([FORM_WITH_PAYLOAD], False),
+    "payload-in-form-and-nan-bond": ([FORM_WITH_PAYLOAD, ("[[0.75, 0.25]]", "[[NaN, 0.25]]")], False),
+}
+
+
+def _mps_outcome(path: str):
+    """What load_mps makes of a file: its tag, site dims and data bits and
+    bond bits, or the FileFormatError message."""
+    try:
+        m = load_mps(path)
+    except FileFormatError as exc:
+        return str(exc)
+    sites = [(s.phys_dim, s.left_dim, s.right_dim, s.data.view(np.uint64).tolist()) for s in m.sites]
+    bonds = None if m.bonds is None else [None if b is None else b.values.view(np.uint64).tolist() for b in m.bonds]
+    return m.tag, sites, bonds
+
+
+@pytest.mark.parametrize("block", [1, idmps.io._BLOCK])
+@pytest.mark.parametrize("name", MUTATED_MPS)
+def test_mps_block_reader_agrees_with_json_load(tmp_path, name, block):
+    """Every mutated MPS file gives the json.load path's state or its
+    FileFormatError message; the block reader takes only files whose
+    skeleton is json.dumps's and whose payloads are the writers' pairs."""
+    edits, taken = MUTATED_MPS[name]
+    text = BASE_MPS
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with mock.patch.object(idmps.io, "_BLOCK", block):
+        assert (idmps.io._read_blocks(str(path)) is not None) == taken
+        got = _mps_outcome(str(path))
+    with mock.patch.object(idmps.io, "_read_blocks", return_value=None):
+        assert got == _mps_outcome(str(path))
+    if name == "unchanged":
+        assert isinstance(got, tuple)
+
+
 def test_block_reader_peak_memory(tmp_path):
     """The block reader peaks below twice the file's size, where json.load
     of the nested pairs takes about four times it."""
@@ -326,6 +404,32 @@ def test_load_tensor_peak_is_the_tensor_and_one_block(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak <= t.data.nbytes + 5 * idmps.io._BLOCK, peak
+
+
+def test_load_mps_peak_is_the_state_and_one_block(tmp_path):
+    """In one process, load_mps of a 147,520-entry state (2.25 MiB in a
+    7 MB file) holds the one array its sites adopt as slices, plus one
+    block's working set; a copy of the sites, or json.load's lists, would
+    exceed it."""
+    rng = np.random.default_rng(17)
+    dims = [1, 16, 256, 256, 16, 1]
+    m = MatrixProductState(sites=tuple(
+        SiteTensor(2, left, right, rng.standard_normal(2 * left * right) + 1j * rng.standard_normal(2 * left * right))
+        for left, right in zip(dims, dims[1:])
+    ))
+    path = tmp_path / "m.json"
+    save_mps(str(path), m)
+    with mock.patch.object(idmps.io, "_WORKERS", 1), mock.patch(
+        "json.load", side_effect=AssertionError("the json.load path ran")
+    ):
+        tracemalloc.start()
+        try:
+            back = load_mps(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(s.data.tobytes() == t.data.tobytes() for s, t in zip(back.sites, m.sites))
+    assert peak <= sum(s.data.nbytes for s in back.sites) + 5 * idmps.io._BLOCK, peak
 
 
 def test_save_mps_peak_memory_does_not_grow_with_the_payload(tmp_path):
@@ -395,6 +499,30 @@ def test_split_codec_is_exact(tmp_path, length, workers):
         expected = np.array(json.load(fh)["data"], dtype=float).reshape(-1)
     assert fast is not None and fast[0] == [length]
     assert fast[1].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_mps_codec_is_exact(tmp_path, workers):
+    """Sites of 2 * _CHUNK + 5, _CHUNK + 3 and 7 pairs make six chunks. Two
+    runs split between the first and second sites, three inside each of
+    them. Either way the written file is json.dump's, byte for byte, and
+    the block reader, split the same way, gives json.load's values bit for
+    bit."""
+    sites = tuple(SiteTensor(n, 1, 1, _split_payload(n)) for n in (2 * _CHUNK + 5, _CHUNK + 3, 7))
+    m = MatrixProductState(sites=sites)
+    path = tmp_path / "m.json"
+    parts = min(workers, 3)
+    with mock.patch.object(idmps.io, "_WORKERS", workers), mock.patch.object(
+        idmps.io.os, "fork", wraps=idmps.io.os.fork
+    ) as fork:
+        save_mps(str(path), m)
+        assert fork.call_count == parts - 1
+        assert path.read_text() == _dumped(_mps_document(m))
+        got = _mps_outcome(str(path))
+        assert fork.call_count == 2 * (parts - 1)
+    with mock.patch.object(idmps.io, "_read_blocks", return_value=None):
+        assert got == _mps_outcome(str(path))
+    assert [bits for *_, bits in got[1]] == [s.data.view(np.uint64).tolist() for s in sites]
 
 
 def test_split_reader_bad_token_in_a_child_range(tmp_path):

@@ -64,6 +64,18 @@ def test_tensor_norm_is_right_at_any_finite_scale(scale):
     assert got == pytest.approx(scale * np.linalg.norm(unit), rel=1e-13)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_tensor_norm_sums_every_slab(scale):
+    """A tensor of three slabs and a few entries more (the slab is 2^16
+    entries) has the norm of all its entries, whose largest lies in the
+    last slab, at any scale."""
+    rng = np.random.default_rng(14)
+    unit = rng.standard_normal(3 * (1 << 16) + 5) + 1j * rng.standard_normal(3 * (1 << 16) + 5)
+    unit[-1] = 40.0
+    got = tensor_norm(tensor_new((unit.size,), scale * unit))
+    assert got == pytest.approx(scale * np.linalg.norm(unit), rel=1e-14)
+
+
 def test_tensor_norm_past_the_float_range_is_inf():
     assert tensor_norm(tensor_new((4,), np.full(4, 1e308))) == np.inf
     assert tensor_norm(tensor_new((2,), np.zeros(2))) == 0.0
