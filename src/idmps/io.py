@@ -61,7 +61,8 @@ import math
 import mmap
 import os
 import shutil
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
+from itertools import chain
 
 import numpy as np
 
@@ -258,18 +259,19 @@ def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _decode_complex(pairs, what: str) -> np.ndarray:
-    """The block reader's array, or json.load's pairs entry by entry (naming the first bad one), if finite."""
+    """The block reader's array, or json.load's pairs converted at once, if finite; pairs that are
+    not all lists of two ints or floats, or leave the float range, go one by one to name the first bad one."""
     if isinstance(pairs, np.ndarray):
         return _check_finite(pairs, what)
     if not isinstance(pairs, list):
         raise FileFormatError(f"{what}: data must be a list of [re, im] pairs")
+    with suppress(OverflowError):  # an int past the float range, as complex(re, im) converts it
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+            if set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+                return _check_finite(np.array(pairs, dtype=float).reshape(-1).view(complex), what)
     out = np.empty(len(pairs), dtype=complex)
     for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not set(map(type, pair)) <= {int, float}:
             raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
         try:
             out[i] = complex(pair[0], pair[1])

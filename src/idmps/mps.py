@@ -320,24 +320,37 @@ def _check_nonzero(data: np.ndarray) -> None:
 def _dense_sweep(
     t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
 ) -> tuple[list[np.ndarray], tuple[CutDiagnostics, ...]]:
-    """TT-SVD, the only pass over dense data: left isometries on sites
-    1..N-1, the remaining weight on site N, and each cut's record.
-    Blocks are (phys, left, right) arrays."""
+    """TT-SVD, the only pass over dense data: left isometries on sites 1..N-1, the
+    remaining weight on site N, and each cut's record; blocks are (phys, left, right).
+    A wide unfolding A gets U and S from the SVD of ``_wide_factor(A)`` and S Vh as
+    U^H A, so at its peak the sweep holds the input, one unfolding, the next and a slab."""
     _check_nonzero(t.data)
     blocks, cuts = [], []
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
-        m = m.reshape(m.shape[0] * d, -1)  # the unfolding; a copy frees the previous factor
-        res = svd(m, rank_tol)
+        m = m.reshape(m.shape[0] * d, -1)  # the unfolding
+        wide = m.shape[0] < m.shape[1]
+        res = svd(_wide_factor(m) if wide else m, rank_tol)
         cuts.append(_cut(res.s, policy))
         keep = cuts[-1].kept
         blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
-        m = res.vh[:keep]  # S Vh, formed in place
         with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
-            m *= res.s[:keep, None]
-        del res  # m alone holds this factor, so the next unfolding's copy frees it
+            if wide:  # S Vh as U^H A, with no Vh built
+                m = res.u[:, :keep].conj().T @ m
+            else:  # S Vh, formed in place
+                m = np.multiply(res.vh[:keep], res.s[:keep, None], out=res.vh[:keep])
+        del res  # frees U before the next cut's factor
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
     return blocks, tuple(cuts)
+
+
+def _wide_factor(a: np.ndarray) -> np.ndarray:
+    """L = R^T for R of a QR of a^T (so L L^H = a a^H), carried through slabs of a's columns (TSQR):
+    ``_SLAB >> 2`` entries, or len(a) columns if more, so that R is never larger than a slab."""
+    r, step = np.zeros((0, len(a)), dtype=complex), max(len(a), (_SLAB >> 2) // len(a))
+    for j in range(0, a.shape[1], step):
+        r = np.linalg.qr(np.vstack((r, a[:, j : j + step].T)), mode="r")
+    return r.T
 
 
 def _sweep_left(

@@ -903,6 +903,37 @@ def test_overflow_at_the_float_limit_exit_2_without_a_warning(tmp_path, capsys, 
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("form", ["left", "right", "vidal", "mixed:1"])
+def test_wide_unfolding_at_the_float_limit_exit_2_in_every_form(tmp_path, capsys, form):
+    """The (2, 2, 2) tensor whose last entry is the largest double: its first
+    unfolding is wide (2 x 4), so the sweep factors it through its triangular
+    factor; its S Vh or a later SVD overflows in every form."""
+    big, src, out = 1.7976931348623157e308, tmp_path / "in.json", tmp_path / "out.json"
+    save_tensor(str(src), tensor_new((2, 2, 2), [1] * 7 + [big]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, report, err = run_cli(capsys, "decompose", str(src), "--form", form, "--out", str(out))
+    assert (code, report) == (2, None)
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["left", "right", "vidal", "mixed:1"])
+def test_wide_unfolding_with_one_entry_at_the_float_limit_round_trips(tmp_path, capsys, form):
+    """The (2, 4) tensor whose last entry is the largest double decomposes
+    through the wide path in range, and reconstructs to its reference."""
+    big, src, out = 1.7976931348623157e308, tmp_path / "in.json", tmp_path / "m.json"
+    save_tensor(str(src), tensor_new((2, 4), [1] * 7 + [big]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, "decompose", str(src), "--form", form, "--out", str(out))
+        assert (code, err) == (0, "")
+        back = tmp_path / "back.json"
+        code, report, err = run_cli(capsys, "reconstruct", str(out), "--out", str(back), "--reference", str(src))
+    assert (code, err) == (0, "")
+    assert report["residual"] <= 1e-15
+
+
 # Mutation fuzzing: valid tensor and MPS files, damaged in ways a file on
 # disk can be, through decompose, verify and reconstruct in process.
 SWAPPED_TYPES = [None, True, False, "", "x", "mixed:2", [], {}, [1.0], [[1.0, 0.0]], {"a": 1}, 0, 1, -1, 2, 1.5]

@@ -271,6 +271,35 @@ def test_block_reader_ints_agree_with_json_load(tmp_path_factory, pairs):
         assert got == _outcome(str(path))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.one_of(st.integers(-(2**1100), 2**1100), st.integers(-(2**65), 2**65), st.floats())] * 2),
+        max_size=20,
+    )
+)
+@example([(2**53 + 1, -(2**53) - 3), (2**63 + 1, 2**64 - 1), (0.5, -0.0)])
+@example([(1.5, 2), (10**400, 0), (float("nan"), 1)])
+def test_json_load_pairs_decode_as_complex_of_each_pair(pairs):
+    """The json.load path converts a payload in one call, yet gives complex(re, im)
+    of each pair bit for bit, an int rounded once; an int past the float range, or
+    else a NaN or infinity, makes the first such entry a FileFormatError."""
+    doc, first_bad, expected = [list(p) for p in pairs], None, []
+    for i, pair in enumerate(pairs):
+        try:
+            expected.append(complex(*pair))
+        except OverflowError:
+            first_bad = i if first_bad is None else first_bad
+    if first_bad is None:
+        first_bad = next((i for i, z in enumerate(expected) if not np.isfinite(z)), None)
+    if first_bad is None:
+        got = idmps.io._decode_complex(doc, "t")
+        assert got.view(np.uint64).tolist() == np.array(expected, dtype=complex).view(np.uint64).tolist()
+    else:
+        with pytest.raises(FileFormatError, match=rf"^t: entry {first_bad} is not finite$"):
+            idmps.io._decode_complex(doc, "t")
+
+
 @pytest.mark.parametrize("block", [1, idmps.io._BLOCK])
 @pytest.mark.parametrize("name", MUTATED_TENSORS)
 def test_block_reader_agrees_with_json_load(tmp_path, name, block):

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from idmps import (
     verify_right_normalized,
     verify_vidal,
 )
-from idmps.mps import parse_form_tag
+from idmps.mps import _wide_factor, parse_form_tag
 
 
 def random_tensor(rng, shape):
@@ -871,6 +872,19 @@ def test_dense_sweep_holds_one_unfolding_and_one_factor(form):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * t.data.nbytes + (1 << 18), peak
+
+
+def test_wide_factor_slabs_are_never_narrower_than_the_factor():
+    """A 256 x 1024 unfolding: slabs of ``_SLAB >> 2`` entries would be 64
+    columns, and carrying the 256 x 256 R through 16 QRs of 320 rows would
+    cost more than the SVD the factor replaces. Each slab has as many columns
+    as the matrix has rows, so there are 4."""
+    rng = np.random.default_rng(50)
+    a = rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024))
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        left = _wide_factor(a)
+    assert qr.call_count == 4
+    assert np.max(np.abs(left @ left.conj().T - a @ a.conj().T)) <= 1e-13 * np.linalg.norm(a) ** 2
 
 
 def test_verify_vidal_peak_memory_holds_one_weighted_block_at_a_time():

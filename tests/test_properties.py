@@ -310,6 +310,34 @@ def test_sliced_transfer_matches_whole_block_references(d, bonds, slab, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(shapes, st.sampled_from(["random", "ghz", "product"]), st.data(), st.integers(0, 2**32 - 1))
+def test_wide_factor_and_the_sweep_do_not_depend_on_the_slab_width(shape, kind, data, seed):
+    """At every cut of a random, GHZ-like or product tensor, ``_wide_factor``'s
+    L, built from slabs of any width it takes (from as many columns as A has
+    rows to the whole matrix), has L L^H = A A^H for the unfolding A.
+    ``decompose``'s spectra and state with any slab size agree with those of
+    one slab (the module's own ``_SLAB`` holds these small tensors whole);
+    its sites may differ more where two singular values lie close."""
+    t = spectrum_state(shape, kind, 1.0, seed)
+    t = tensor_new(shape, t.data / tensor_norm(t))
+    for cut in range(1, t.ndim):
+        a = t.data.reshape(int(np.prod(shape[:cut])), -1)
+        width = data.draw(st.integers(len(a), max(a.shape)), label=f"columns per slab at cut {cut}")
+        with mock.patch.object(idmps.mps, "_SLAB", 4 * width * len(a)):
+            left = idmps.mps._wide_factor(a)
+        assert np.max(np.abs(left @ left.conj().T - a @ a.conj().T)) <= 1e-13, cut
+    whole, whole_cuts = decompose(t, "left")
+    entries = data.draw(st.integers(1, t.size), label="entries per slab in decompose")
+    with mock.patch.object(idmps.mps, "_SLAB", 4 * entries):
+        sliced, sliced_cuts = decompose(t, "left")
+    assert sliced.bond_dims == whole.bond_dims
+    for a, b in zip(sliced_cuts, whole_cuts):
+        assert a.spectrum.shape == b.spectrum.shape
+        assert np.max(np.abs(a.spectrum - b.spectrum)) <= 1e-13
+    assert np.max(np.abs(to_dense(sliced).data - to_dense(whole).data)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(-300, 300),
     st.sampled_from([("left", None), ("right", None), ("mixed", 3), ("vidal", None)]),
