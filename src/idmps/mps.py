@@ -13,32 +13,33 @@ optional per-bond weight vectors. Four constructions are provided:
   Schmidt coefficients.
 
 ``decompose`` builds all four from one left-to-right SVD sweep over the
-dense data (TT-SVD), which is the left-canonical form. The others move
-its weight back along the chain with a site-level SVD step on the site
-tensors: the right form after a full back-sweep, the mixed form after
-the steps down to its center, the Vidal form after a full back-sweep
-that records every bond's weights. One rule decides every cut of every
-sweep and returns its record (``CutDiagnostics``): the singular values
-the SVD found there, how many the policy kept, and the weight it
-discarded; ``decompose`` returns the dense sweep's records, whose
-discarded weights add in quadrature to the distance between the input
-and the returned state. Truncation, of any form, runs the same site step
-after one left-normalizing QR sweep. A state keeps read-only copies of
-its arrays, so it also keeps what its queries derive, built on first
-use: the chain with its stored weights folded in, the R factors of that
-same QR sweep run from each end, and two tables of chain products over a
-prefix and a suffix of the sites, one row per index assignment, each at
-most half the chain's size. A coefficient then costs the middle sites'
-vector products and one dot product. Schmidt spectra of bonds without
-stored weights need no SVD step: those gauge moves leave the bond's
-weight in one small matrix, whose singular values are the spectrum. The
-first such query on a state costs the two sweeps, each later cut one
-small values-only SVD. No operation here expands a chain into more
-entries than it holds except ``to_dense`` itself. Without truncation the
-constructions reproduce the input to working precision, and the
-bond->Schmidt identifications hold at every cut. ``verify`` checks
-whichever gauge a state's form tag claims; every check compares a Gram
-contraction with the identity and returns one ``GaugeReport``.
+dense data (TT-SVD), which is the left-canonical form. The others come
+from a right sweep, the one site sweep with the same SVD step run over
+the mirrored chain, which moves the weight back: the right form after a
+full right sweep, the mixed form after the steps down to its center, the
+Vidal form after a full right sweep that records every bond's weights.
+One rule decides every cut of every sweep and returns its record
+(``CutDiagnostics``): the singular values the SVD found there, how many
+the policy kept, and the weight it discarded; ``decompose`` returns the
+dense sweep's records, whose discarded weights add in quadrature to the
+distance between the input and the returned state. Truncation, of any
+form, runs the site sweep with that step after a right sweep with a QR
+step. A state keeps read-only copies of its arrays, so it also keeps
+what its queries derive, built on first use: the chain with its stored
+weights folded in, the R factors of that same QR sweep run from each
+end, and two tables of chain products over a prefix and a suffix of the
+sites, one row per index assignment, each at most half the chain's size.
+A coefficient then costs the middle sites' vector products and one dot
+product. Schmidt spectra of bonds without stored weights need no SVD
+step: those gauge moves leave the bond's weight in one small matrix,
+whose singular values are the spectrum. The first such query on a state
+costs the two sweeps, each later cut one small values-only SVD. No
+operation here expands a chain into more entries than it holds except
+``to_dense`` itself. Without truncation the constructions reproduce the
+input to working precision, and the bond->Schmidt identifications hold
+at every cut. ``verify`` checks whichever gauge a state's form tag
+claims; every check compares a Gram contraction with the identity and
+returns one ``GaugeReport``.
 
 This module owns the form tag: ``MatrixProductState.tag`` writes it
 (``mixed:<center>`` for a mixed state) and ``parse_form_tag`` reads it,
@@ -49,7 +50,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -216,9 +217,10 @@ class MatrixProductState:
 
     @cached_property
     def _bond_rs(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """The R factors of ``_qr_sweep`` over the chain and over its mirror:
+        """The R factors of a QR ``_sweep`` over the chain and over its mirror:
         either side of any cut is an isometry times one of them."""
-        return _qr_sweep(list(self._chain)), _qr_sweep(_mirror(self._chain))
+        n = self.num_sites - 1
+        return _sweep(list(self._chain), n, _qr), _sweep(_mirror(self._chain), n, _qr)
 
     @cached_property
     def _envs(self) -> tuple[np.ndarray, ...]:
@@ -320,28 +322,31 @@ def _check_nonzero(data: np.ndarray) -> None:
 def _dense_sweep(
     t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
 ) -> tuple[list[np.ndarray], tuple[CutDiagnostics, ...]]:
-    """TT-SVD, the only pass over dense data: left isometries on sites 1..N-1, the
-    remaining weight on site N, and each cut's record; blocks are (phys, left, right).
-    A wide unfolding A gets U and S from the SVD of ``_wide_factor(A)`` and S Vh as
-    U^H A, so at its peak the sweep holds the input, one unfolding, the next and a slab."""
+    """TT-SVD, the only pass over dense data: ``_split`` of each unfolding leaves left isometries
+    on sites 1..N-1, the remaining weight on site N and each cut's record; blocks are (phys, left,
+    right). At its peak the sweep holds the input, one unfolding, the next and a slab."""
     _check_nonzero(t.data)
     blocks, cuts = [], []
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
-        m = m.reshape(m.shape[0] * d, -1)  # the unfolding
-        wide = m.shape[0] < m.shape[1]
-        res = svd(_wide_factor(m) if wide else m, rank_tol)
-        cuts.append(_cut(res.s, policy))
-        keep = cuts[-1].kept
-        blocks.append(res.u[:, :keep].reshape(-1, d, keep).transpose(1, 0, 2))
-        with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
-            if wide:  # S Vh as U^H A, with no Vh built
-                m = res.u[:, :keep].conj().T @ m
-            else:  # S Vh, formed in place
-                m = np.multiply(res.vh[:keep], res.s[:keep, None], out=res.vh[:keep])
-        del res  # frees U before the next cut's factor
+        u, m, cut = _split(m.reshape(m.shape[0] * d, -1), policy, rank_tol)
+        blocks.append(u.reshape(-1, d, cut.kept).transpose(1, 0, 2))
+        cuts.append(cut)
     blocks.append(m.reshape(-1, t.shape[-1]).T[:, :, None])
     return blocks, tuple(cuts)
+
+
+def _split(a: np.ndarray, policy: TruncationPolicy | None, rank_tol: float) -> tuple:
+    """One SVD step on ``a``: the kept columns of U, the weight S Vh they leave and the cut's
+    record. A wide ``a`` gets U and S from the SVD of ``_wide_factor(a)`` and S Vh as U^H a,
+    so no full-size Vh is built; otherwise S Vh is formed in place in Vh."""
+    wide = a.shape[0] < a.shape[1]
+    res = svd(_wide_factor(a) if wide else a, rank_tol)
+    cut = _cut(res.s, policy)
+    u, keep = res.u[:, : cut.kept], cut.kept
+    with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
+        w = u.conj().T @ a if wide else np.multiply(res.vh[:keep], res.s[:keep, None], out=res.vh[:keep])
+    return u, w, cut
 
 
 def _wide_factor(a: np.ndarray) -> np.ndarray:
@@ -353,28 +358,25 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
     return r.T
 
 
-def _sweep_left(
-    blocks: list[np.ndarray], stop: int = 0,
-    policy: TruncationPolicy | None = None, rank_tol: float = DEFAULT_RANK_TOL,
-) -> list[CutDiagnostics]:
-    """Move the weight from the last block onto block ``stop`` (0-based),
-    one site step per bond.
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One QR step on ``a``: Q, the weight R it leaves, and R read-only as the step's record."""
+    q, r = np.linalg.qr(a)
+    return q, r, _frozen(r)
 
-    The step SVDs block n across its left bond, leaves the right isometry
-    Vh there and absorbs U S into block n-1. Its singular values are the
-    Schmidt values of that bond whenever blocks 0..n-1 are left
-    isometries. Returns each step's record, last bond first.
-    """
-    steps = []
-    for n in range(len(blocks) - 1, stop, -1):
-        d, left, right = blocks[n].shape
-        res = svd(blocks[n].transpose(1, 0, 2).reshape(left, d * right), rank_tol)
-        steps.append(_cut(res.s, policy))
-        keep = steps[-1].kept
-        blocks[n] = res.vh[:keep].reshape(keep, d, right).transpose(1, 0, 2)
-        with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
-            blocks[n - 1] = blocks[n - 1] @ (res.u[:, :keep] * res.s[:keep])
-    return steps
+
+def _sweep(blocks: list[np.ndarray], stop: int, step: Callable[[np.ndarray], tuple]) -> tuple:
+    """Left-normalize blocks 0..``stop``-1 in place: ``step`` factors each block's (phys * left,
+    right) matrix into an isometry, which stays, and a weight, carried into the next block.
+    Returns the steps' records in order. Over ``_mirror(blocks)`` it is a right sweep."""
+    records = []
+    for n in range(stop):
+        g = blocks[n]
+        q, w, record = step(g.reshape(-1, g.shape[2]))
+        blocks[n] = q.reshape(g.shape[0], g.shape[1], -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # the next step or _state rejects it
+            blocks[n + 1] = np.matmul(w, blocks[n + 1])
+        records.append(record)
+    return tuple(records)
 
 
 def _mirror(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -405,11 +407,13 @@ def _state(
 def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
     """Canonical form of a chain whose blocks 1..N-1 are left isometries.
 
-    An untruncated back-sweep leaves every bond's weights equal to the
+    An untruncated right sweep leaves every bond's weights equal to the
     exact Schmidt values of the final state; each Gamma is the block
     left by the sweep divided by its right-bond weights.
     """
-    lams = [cut.spectrum for cut in _sweep_left(blocks, 0, None, rank_tol)][::-1]
+    mirror = _mirror(blocks)
+    steps = _sweep(mirror, len(blocks) - 1, lambda a: _split(a, None, rank_tol))
+    blocks, lams = _mirror(mirror), [cut.spectrum for cut in steps[::-1]]
     with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite Gamma
         gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
     return _state(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
@@ -439,13 +443,15 @@ def decompose(
     blocks, cuts = _dense_sweep(t, policy, rank_tol)
     if form == "left":
         return _state(blocks, "left"), cuts
-    if form == "right":
-        _sweep_left(blocks, 0, None, rank_tol)
-        return _state(blocks, "right"), cuts
     if form == "vidal":
         return _vidal(blocks, rank_tol), cuts
-    weights = _sweep_left(blocks, center - 1, None, rank_tol)[-1].spectrum
-    # The last step absorbed U S into the center site; U alone is left-normalized.
+    mirror = _mirror(blocks)
+    steps = _sweep(mirror, t.ndim - (center or 1), lambda a: _split(a, None, rank_tol))
+    blocks = _mirror(mirror)
+    if form == "right":
+        return _state(blocks, "right"), cuts
+    weights = steps[-1].spectrum
+    # The last step multiplied the center site by Vh^T S; Vh^T alone keeps it left-normalized.
     with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite site
         blocks[center - 1] = blocks[center - 1] / weights
     bonds: list[BondSpectrum | None] = [None] * (t.ndim - 1)
@@ -653,7 +659,7 @@ def truncate(
     on the exact Schmidt values of the state truncated so far, so the
     errors add in quadrature to the distance from the input; a QR sweep
     from the right end first right-normalizes the chain so that those
-    values are exact. Either way the back-sweep of from_dense_vidal puts
+    values are exact. Either way the right sweep of from_dense_vidal puts
     the result in canonical form, keeping at least one value per bond.
     """
     if policy is None:
@@ -670,27 +676,13 @@ def truncate(
         blocks = [g[:, :left, :right] for g, left, right in zip(blocks, [1] + keeps, keeps + [1])]
         policy = None
     mirror = _mirror(blocks)
-    _qr_sweep(mirror)
-    _check_nonzero(mirror[-1])  # site 1's block now carries the whole state
-    steps = _sweep_left(mirror, 0, policy)
+    _sweep(mirror, len(blocks) - 1, _qr)
+    blocks = _mirror(mirror)
+    _check_nonzero(blocks[0])  # site 1's block now carries the whole state
+    steps = _sweep(blocks, len(blocks) - 1, lambda a: _split(a, policy, DEFAULT_RANK_TOL))
     if policy is not None:
         errors = [cut.discarded for cut in steps]
-    return _vidal(_mirror(mirror), DEFAULT_RANK_TOL), errors
-
-
-def _qr_sweep(blocks: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Left-normalize blocks 0..N-2 in place by a QR sweep that carries
-    each step's R into the next block; the last block ends up carrying
-    the whole state. Returns the read-only R of each step: the input's
-    blocks 0..j are a left isometry times R_j."""
-    rs = []
-    for n in range(len(blocks) - 1):
-        g = blocks[n]
-        q, r = np.linalg.qr(g.reshape(-1, g.shape[2]))
-        blocks[n] = q.reshape(g.shape[0], g.shape[1], -1)
-        blocks[n + 1] = np.matmul(r, blocks[n + 1])
-        rs.append(_frozen(r))
-    return tuple(rs)
+    return _vidal(blocks, DEFAULT_RANK_TOL), errors
 
 
 def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:

@@ -166,8 +166,8 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     if a.ndim != 2 or a.size == 0:
         raise ShapeMismatch(f"svd needs a nonempty matrix, got shape {a.shape}")
     # numpy's LAPACK call factors a tall row-major matrix about twice as fast as a
-    # wide one, so a wide matrix (now only a site step of mps._sweep_left: the dense
-    # sweep passes its small triangular factor) is factored as A^T = Vh^T S U^T.
+    # wide one, so a wide matrix (from schmidt_decompose or a library caller: mps passes
+    # a wide matrix's small triangular factor) is factored as A^T = Vh^T S U^T.
     wide = a.shape[0] < a.shape[1]
     (u, s, vh), rank = _lapack_svd(a.T if wide else a, True, rank_tol)
     if wide:

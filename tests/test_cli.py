@@ -942,6 +942,7 @@ EXTREME_NUMBERS = [
     -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), 2**63, 2**64, 10**400, -(10**400),
 ]
 DIM_SIZES = [1, 2, 3, 4, 6, 12, 2**20, 2**40]
+NESTED = object()  # a value ``_dump`` writes as 10**5 nested brackets, past json's recursion limit
 
 
 def _dim_slots(doc: dict) -> list:
@@ -986,22 +987,25 @@ def _dump(node, extra: dict) -> str:
         return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v, extra)}" for k, v in pairs) + "}"
     if isinstance(node, list):
         return "[" + ", ".join(_dump(v, extra) for v in node) + "]"
+    if node is NESTED:
+        return "[" * 10**5 + "]" * 10**5
     return json.dumps(node)
 
 
 def _mutated(data, text: str) -> bytes:
     """``text`` with a few bytes flipped, or with up to three edits to its
     document: a key or item deleted, a key duplicated, a value swapped for
-    another type, a number swapped for an extreme one, or a dimension
-    (a site's or the shape's) set to another size or swapped with one of
-    its neighbours, which keeps their product."""
+    another type, a number swapped for an extreme one, a value swapped for
+    deeply nested brackets, or a dimension (a site's or the shape's) set to
+    another size or swapped with one of its neighbours, which keeps their
+    product."""
     if data.draw(st.booleans()):
         raw = bytearray(text.encode())
         for _ in range(data.draw(st.integers(1, 3))):
             raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
         return bytes(raw)
     doc, extra = json.loads(text), {}
-    kinds = ["delete", "duplicate", "swap", "extreme", "dims"]
+    kinds = ["delete", "duplicate", "swap", "extreme", "dims", "nest"]
     for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
         slots = _dim_slots(doc) if kind == "dims" else list(_slots(doc))
         if kind == "extreme":
@@ -1019,6 +1023,8 @@ def _mutated(data, text: str) -> bytes:
             del parent[key]
         elif kind == "extreme":
             parent[key] = data.draw(st.sampled_from(EXTREME_NUMBERS))
+        elif kind == "nest":
+            parent[key] = NESTED
         else:
             value = copy.deepcopy(data.draw(st.sampled_from(SWAPPED_TYPES + EXTREME_NUMBERS)))
             if kind == "duplicate" and isinstance(parent, dict):
@@ -1056,3 +1062,18 @@ def test_mutated_files_exit_cleanly(tmp_path_factory, data, seed):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
         if code == 0 and reload is not None:
             reload(str(out))
+
+
+@pytest.mark.parametrize("seed", ["tensor", "left", "right", "mixed:2", "vidal"])
+@pytest.mark.parametrize("where", ["version", "data"])
+def test_deeply_nested_values_exit_1(tmp_path, capsys, seed, where):
+    """A value swapped for 10**5 nested brackets, in the skeleton the block reader
+    parses or in a payload, exits 1 with one message and no traceback."""
+    doc, src = json.loads(_fuzz_seeds()[seed]), tmp_path / "in.json"
+    (doc if seed == "tensor" or where == "version" else doc["sites"][0])[where] = NESTED
+    src.write_text(_dump(doc, {}) + "\n")
+    argv = ["verify", str(src)]
+    if seed == "tensor":
+        argv = ["decompose", str(src), "--form", "left", "--out", str(tmp_path / "m.json")]
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err.count("\n")) == (1, 1) and "nested too deeply" in err, err

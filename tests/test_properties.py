@@ -442,3 +442,101 @@ def test_coefficient_tables_match_the_vector_sweep(shape, bond, seed):
             assert table.ndim == 1 or 2 * table.size <= sum(g.size for g in m._chain)
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
+
+
+def recorded_decompose(t, form, center, policy):
+    """``decompose`` with the records of the SVD steps after the dense sweep, in the order they ran."""
+    records, split = [], idmps.mps._split
+
+    def recording(*args):
+        records.append(split(*args))
+        return records[-1]
+
+    with mock.patch.object(idmps.mps, "_split", recording):
+        m, cuts = decompose(t, form, center, policy)
+    return m, cuts, [step[2] for step in records[len(cuts):]]
+
+
+def assert_phases_pinned(vectors, where):
+    """Each column's first largest-magnitude entry is positive, up to 1e-15 of its size."""
+    for j, v in enumerate(vectors.T):
+        pivot = v[np.argmax(np.abs(v))]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * abs(pivot), (where, j, pivot)
+
+
+def wide_chain(shape, bonds, seed):
+    """Random sites with the given bond dimensions, and whether truncating the chain takes a
+    wide site step: after the right-normalizing QR sweep, bond n is at most d_{n+1} times bond
+    n+1, and a step of the left sweep is wide where that bond exceeds d times the one it got."""
+    rng = np.random.default_rng(seed)
+    dims = [1, *bonds[: len(shape) - 1], 1]
+    sites = []
+    for d, left, right in zip(shape, dims, dims[1:]):
+        data = rng.standard_normal(d * left * right) + 1j * rng.standard_normal(d * left * right)
+        sites.append(SiteTensor(d, left, right, data))
+    for n in range(len(shape) - 1, 0, -1):
+        dims[n] = min(dims[n], shape[n] * dims[n + 1])
+    kept, wide = 1, False
+    for d, right in zip(shape, dims[1:-1]):
+        wide |= right > d * kept
+        kept = min(d * kept, right)
+    return MatrixProductState(sites=tuple(sites)), wide
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["dense", "truncated", "unknown"]),
+    shapes,
+    st.lists(st.integers(1, 8), min_size=5, max_size=5),
+    st.floats(0.01, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+# Bond 1 is 5 > 2 x 1 and stays 4 after the QR sweep: site 1's step is wide.
+@example("unknown", (2, 2, 2), [5, 3, 1, 1, 1], 0.1, 0)
+def test_one_site_sweep_leaves_dense_spectra_pinned_phases_and_exact_truncations(
+    kind, shape, bonds, tol, seed
+):
+    """Right, mixed and Vidal states are right sweeps of the dense sweep's left state. Untruncated,
+    their spectra (the right sweep's steps, the Vidal weights, the mixed center weights) are the
+    dense sweep's within 1e-13 s_max. Every isometry a sweep leaves has each bond vector's phase
+    pinned by ``svd``'s gauge. ``truncate`` with a policy that drops nothing stays within 1e-12
+    of the state's norm and is in canonical form, also for chains whose bonds exceed d times a
+    neighbour's, where a site step's unfolding is wide and goes through ``_wide_factor``."""
+    states, n = [], len(shape)
+    if kind == "unknown":
+        m, wide = wide_chain(shape, bonds, seed)
+        states.append(m)
+    else:
+        t = unit_tensor(shape, seed)
+        policy = TruncationPolicy(weight_tol=tol) if kind == "truncated" else None
+        forms = [("left", None), ("right", None), ("vidal", None)] + [("mixed", c) for c in range(1, n)]
+        for form, center in forms:
+            m, cuts, steps = recorded_decompose(t, form, center, policy)
+            states.append(m)
+            lefts = {"left": n - 1, "mixed": (center or 1) - 1}.get(form, 0)
+            rights = {"right": 1, "mixed": center}.get(form, n)
+            for i, site in enumerate(m.sites[:lefts], start=1):
+                a = site.as_array()
+                assert_phases_pinned(a.transpose(1, 0, 2).reshape(-1, a.shape[2]), (form, center, i))
+            for i, site in enumerate(m.sites[rights:], start=rights + 1):
+                a = site.as_array()
+                assert_phases_pinned(a.transpose(0, 2, 1).reshape(-1, a.shape[1]), (form, center, i))
+            if policy is not None or form == "left":
+                continue
+            spectra = [step.spectrum for step in steps[::-1]]
+            if form == "vidal":
+                spectra = [b.values for b in m.bonds]
+            elif form == "mixed":
+                assert np.array_equal(m.bonds[center - 1].values, steps[-1].spectrum)
+            for cut, got in zip(cuts[n - 1 - len(spectra):], spectra):
+                assert got.shape == cut.spectrum.shape, (form, center)
+                assert np.max(np.abs(got - cut.spectrum)) <= 1e-13 * cut.spectrum[0], (form, center)
+    for m in states:
+        with mock.patch.object(idmps.mps, "_wide_factor", wraps=idmps.mps._wide_factor) as factor:
+            out, errors = truncate(m, TruncationPolicy(weight_tol=0.0))
+        if kind == "unknown":
+            assert factor.called == wide
+        assert errors == [0.0] * (m.num_sites - 1)
+        dense = to_dense(m).data
+        assert np.linalg.norm(to_dense(out).data - dense) <= 1e-12 * np.linalg.norm(dense), m.tag
+        assert verify_vidal(out).passed, m.tag
