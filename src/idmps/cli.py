@@ -178,7 +178,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="check the gauge conditions of a claimed form")
     p.add_argument("input", help="MPS file (JSON)")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-10, help="residual tolerance, for vidal cut n relative to max(lambda_n)^2"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oscillator", help="build the analytical three-site example")

@@ -37,9 +37,9 @@ costs the two sweeps, each later cut one small values-only SVD. No
 operation here expands a chain into more entries than it holds except
 ``to_dense`` itself. Without truncation the constructions reproduce the
 input to working precision, and the bond->Schmidt identifications hold
-at every cut. ``verify`` checks whichever gauge a state's form tag
-claims; every check compares a Gram contraction with the identity and
-returns one ``GaugeReport``.
+at every cut. ``verify`` checks the gauge a state's form tag claims: each
+residual compares one site's Gram contraction with the identity or, for a
+Vidal left condition, with the squared weights of its right bond.
 
 This module owns the form tag: ``MatrixProductState.tag`` writes it
 (``mixed:<center>`` for a mixed state) and ``parse_form_tag`` reads it,
@@ -50,7 +50,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -259,8 +259,8 @@ class GaugeReport:
     """Outcome of ``verify`` and of every ``verify_*`` check.
 
     ``form`` is the checked form's tag (``mixed:<center>`` for mixed
-    states). ``residuals`` are per site, except for the Vidal form, where
-    they are per cut and the three site fields are None. A mixed state
+    states). ``residuals`` are per site, except for the Vidal form: per cut
+    (see ``verify_vidal``), with the three site fields None. A mixed state
     has no boundary site: its ``boundary_scalar`` is the squared sum of
     the center weights. ``passed`` means every counted residual is <=
     ``tol``, so a NaN fails; ``worst_site`` is the first counted site
@@ -527,25 +527,21 @@ def _transfer(env: np.ndarray | None, block: np.ndarray, shift: int = 0) -> np.n
     return out
 
 
-def _gram_residuals(blocks: Iterable[np.ndarray], chained: bool = False) -> list[float]:
-    """max|sum_k g[k]^+ E g[k] - I| for each block g, where E is the
-    identity or, when ``chained``, the left environment carried across
-    the blocks before g."""
-    env, out = None, []
-    for g in blocks:
-        env = _transfer(env if chained else None, g)
-        out.append(float(np.max(np.abs(env - np.eye(env.shape[0])))))
-    return out
+def _gram_residual(g: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """max|sum_k g[k]^+ g[k] - W^2| for a (phys, left, right) block g, where
+    W is diag(``weights``) or, without weights, the identity."""
+    gram = _transfer(None, g)
+    return float(np.max(np.abs(gram - (np.eye(len(gram)) if weights is None else np.diag(weights**2)))))
 
 
 def site_left_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k)+ M^(k) from the identity."""
-    return _gram_residuals([site.as_array()])[0]
+    return _gram_residual(site.as_array())
 
 
 def site_right_residual(site: SiteTensor) -> float:
     """Deviation of sum_k M^(k) M^(k)+ from the identity."""
-    return _gram_residuals(_mirror([site.as_array()]))[0]
+    return _gram_residual(site.as_array().transpose(0, 2, 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf past the double range; NaN sites give NaN
@@ -603,25 +599,25 @@ def verify_right_normalized(m: MatrixProductState, tol: float = 1e-10) -> GaugeR
     return _isometry_report(m, "right", 0, 1, tol)
 
 
-def verify_vidal(m: MatrixProductState, tol: float = 1e-8) -> GaugeReport:
-    """Verify the canonical-form property cut by cut.
+def verify_vidal(m: MatrixProductState, tol: float = 1e-10) -> GaugeReport:
+    """Verify the canonical-form property cut by cut, one site on each side.
 
-    For each cut the weighted chain contractions from both ends must
-    yield orthonormal vector families; the reported residual is the
-    worse of the two Gram deviations. The left family's blocks
-    lambda_{n-1} Gamma_n (lambda_0 = 1) are made one at a time as the
-    contraction reaches them; the right family reads the cached chain. States with
-    fewer than two cuts have no cross-bond coupling, so a lone weight
-    vector there is only constrained by the families' orthonormality.
+    With B_n = Gamma_n lambda_n, a block of the cached chain, cut n's residual is
+    the larger of site n+1's right isometry residual of B_{n+1} and site n's left
+    condition multiplied through by Lambda_n: the deviation of sum_k B_n^(k)+
+    Lambda_{n-1}^2 B_n^(k) from Lambda_n^2 (lambda_0 = 1), both divided by
+    max(lambda_n)^2, to which ``tol`` is thus relative; no smaller weight divides.
+    So a relative error e in a weight w on bond 1, which no right isometry check
+    reaches, shows only in site 2's, as at most 2 e (w / max(lambda_2))^2.
     """
     if m.form != "vidal":
         raise FormMismatch(f"expected a vidal-form state, got {m.form!r}")
     if m.bonds is None or any(b is None for b in m.bonds):
         raise FormMismatch("vidal form needs a weight vector on every bond")
-    lams = [np.ones(1)] + [b.values for b in m.bonds]  # type: ignore[union-attr]
-    left = (site.as_array() * lam[:, None] for site, lam in zip(m.sites[:-1], lams))
-    residuals = np.maximum(  # NaN-propagating, unlike max(); the chain carries the right weights
-        _gram_residuals(left, True), _gram_residuals(_mirror(m._chain)[:-1], True)[::-1]
+    chain, lams = m._chain, [np.ones(1)] + [b.values for b in m.bonds]  # type: ignore[union-attr]
+    residuals = np.maximum(  # NaN-propagating, unlike max(); each ratio of weights is taken first
+        [_gram_residual(a[:, None] / b[0] * g, b / b[0]) for g, a, b in zip(chain, lams, lams[1:])],
+        [_gram_residual(g.transpose(0, 2, 1)) for g in chain[1:]],
     )
     passed = all(residuals <= tol)
     return GaugeReport("vidal", tuple(residuals.tolist()), None, None, None, passed, tol)

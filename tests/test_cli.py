@@ -36,6 +36,7 @@ from idmps import (
 from idmps.cli import main
 from idmps.io import _CHUNK
 from idmps.mps import parse_form_tag
+from test_properties import small_weight_chain
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +295,17 @@ def test_verify_passes_truncated_vidal_output(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "verify", mps_path)
     assert code == 0, report["residuals"]
     assert report["passed"] is True
+
+
+def test_verify_passes_a_fresh_vidal_state_with_tiny_schmidt_values(tmp_path, capsys):
+    """Its Schmidt values reach down to about 1e-12 of the largest at some cuts."""
+    src = str(tmp_path / "chain.json")
+    save_tensor(src, small_weight_chain(54, 1e-5))
+    mps_path = str(tmp_path / "vidal.json")
+    assert run_cli(capsys, "decompose", src, "--form", "vidal", "--out", mps_path)[0] == 0
+    code, report, _ = run_cli(capsys, "verify", mps_path)
+    assert code == 0, report["residuals"]
+    assert report["tol"] == 1e-10
 
 
 def test_verify_unverifiable_form_exit_3(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import idmps.mps
 from idmps import (
+    BondSpectrum,
     MatrixProductState,
     SiteTensor,
     TruncationPolicy,
@@ -66,7 +67,7 @@ def builders(t):
 
 
 def passes_own_verifier(m) -> bool:
-    """``verify`` at each form's default tolerance (1e-8 for Vidal)."""
+    """``verify`` at each form's default tolerance (1e-10 for every form)."""
     return verify_vidal(m).passed if m.form == "vidal" else verify(m).passed
 
 
@@ -540,3 +541,73 @@ def test_one_site_sweep_leaves_dense_spectra_pinned_phases_and_exact_truncations
         dense = to_dense(m).data
         assert np.linalg.norm(to_dense(out).data - dense) <= 1e-12 * np.linalg.norm(dense), m.tag
         assert verify_vidal(out).passed, m.tag
+
+
+def small_weight_chain(seed, lo, n=8, d=2):
+    """A normalized d^n tensor from a chain of random isometries, each bond of dimension D
+    scaled by geomspace(1, lo, D): Schmidt values spread over many decades at every cut."""
+    rng = np.random.default_rng(seed)
+    dims = [min(d**k, d ** (n - k)) for k in range(n + 1)]
+    m = np.ones((1, 1), dtype=complex)
+    for left, right in zip(dims, dims[1:]):
+        a = rng.standard_normal((d * left, right)) + 1j * rng.standard_normal((d * left, right))
+        m = (m @ np.linalg.qr(a)[0].reshape(left, d * right)).reshape(-1, right) * np.geomspace(1, lo, right)
+    return tensor_new((d,) * n, m.reshape(-1) / np.linalg.norm(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-7.0, -5.0), st.integers(0, 2**32 - 1))
+@example(-5.0, 54)  # a chained left family read 1.4e-5 here
+@example(-6.0, 31)
+def test_fresh_vidal_states_with_tiny_schmidt_values_pass_verify(log_lo, seed):
+    """A fresh Vidal decomposition passes ``verify`` at its default tolerance
+    however small its Schmidt values: no check divides by a weight."""
+    m = decompose(small_weight_chain(seed, 10.0**log_lo), "vidal")[0]
+    rep = verify(m)
+    assert rep.tol == 1e-10
+    assert rep.passed, max(rep.residuals)
+
+
+def test_verify_vidal_detects_a_wrong_smallest_weight_inside_the_chain():
+    """On chains at lo = 1e-6, raising the smallest weight of any bond 2..N-1 whose
+    weights span about six decades (1e-7 to 1e-5) by 1 % fails ``verify_vidal`` at 1e-8."""
+    checked = 0
+    for seed in range(20):
+        m = decompose(small_weight_chain(seed, 1e-6), "vidal")[0]
+        assert verify_vidal(m).passed
+        for n in range(2, m.num_sites):
+            values = m.bonds[n - 1].values.copy()
+            if not 1e-7 <= values[-1] / values[0] <= 1e-5:
+                continue
+            values[-1] *= 1.01
+            bonds = m.bonds[: n - 1] + (BondSpectrum(values),) + m.bonds[n:]
+            assert not verify_vidal(MatrixProductState(m.sites, bonds, "vidal"), 1e-8).passed, (seed, n)
+            checked += 1
+    assert checked >= 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-300, 300),
+    st.sampled_from([("left", None), ("right", None), ("mixed", 3), ("vidal", None)]),
+    st.integers(0, 2**32 - 1),
+)
+@example(-300, ("vidal", None), 1)
+@example(300, ("vidal", None), 1)
+@example(-300, ("left", None), 0)
+@example(300, ("right", None), 0)
+@example(-300, ("mixed", 3), 0)
+def test_verify_residuals_do_not_depend_on_the_scale(k, form, seed):
+    """The residuals of ``verify`` on the decomposed c * t, c = 10^k, are those
+    of t within 1e-14, and no numpy warning is raised; the boundary site's
+    residual |scalar - 1| is the only one that moves with the scale."""
+    rng = np.random.default_rng(seed)
+    unit = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify(decompose(tensor_new((2,) * 6, 10.0**k * unit), *form)[0])
+    want = verify(decompose(tensor_new((2,) * 6, unit), *form)[0])
+    assert got.boundary_site == want.boundary_site
+    skip = (want.boundary_site or 0) - 1
+    diffs = [abs(a - b) for n, (a, b) in enumerate(zip(got.residuals, want.residuals)) if n != skip]
+    assert len(got.residuals) == len(want.residuals) and max(diffs) <= 1e-14, (k, form)
