@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -42,10 +43,10 @@ def _rank_tol() -> float:
     raw = os.environ.get("IDMPS_RANK_TOL")
     if raw is None or raw == "":
         return DEFAULT_RANK_TOL
-    tol = float(raw)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"IDMPS_RANK_TOL must be in (0, 1), got {raw!r}")
-    return tol
+    with suppress(ValueError):
+        if 0.0 < (tol := float(raw)) < 1.0:
+            return tol
+    raise ValueError(f"IDMPS_RANK_TOL must be in (0, 1), got {raw!r}")
 
 
 def _emit(report: dict) -> None:
@@ -53,12 +54,13 @@ def _emit(report: dict) -> None:
 
 
 def cmd_decompose(args) -> int:
-    t = load_tensor(args.input)
     form, center = parse_form_tag(args.form)
     policy = None
     if args.max_bond is not None or args.weight_tol is not None:
         policy = TruncationPolicy(max_bond=args.max_bond, weight_tol=args.weight_tol)
-    m, cuts = decompose(t, form, center, policy, _rank_tol())
+    rank_tol = _rank_tol()  # every setting is checked before the input is read
+    t = load_tensor(args.input)
+    m, cuts = decompose(t, form, center, policy, rank_tol)
     save_mps(args.out, m)
     report = {
         "form": m.tag,
@@ -102,8 +104,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol >= 0.0:
-        raise ValueError(f"--tol must be >= 0, got {args.tol}")
+    if not 0.0 <= args.tol < np.inf:  # the JSON report holds it, and JSON has no inf
+        raise ValueError(f"--tol must be >= 0 and finite, got {args.tol}")
     report = verify(load_mps(args.input), args.tol)
     if report.boundary_scalar is not None:
         _finite("boundary scalar", report.boundary_scalar)

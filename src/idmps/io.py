@@ -39,10 +39,9 @@ copy. The skeleton (the file with each payload replaced by NaN) goes
 through json.loads, whose parse_constant puts each payload's array in
 its place. It must hold no backslash, so no payload hides in a string,
 and it must be json.dumps's text of what it parsed to, so no other
-constant, repeated key or other spacing hides there. load_tensor further
-asks for save_tensor's keys in order and a valid shape. Any other file
-falls back to json.load, which also produces every error message; the
-documents of both paths go through the same checks.
+constant, repeated key or other spacing hides there. Any other file falls
+back to json.load, which also produces every error message; the documents
+of both paths go through the same checks.
 
 Both codecs split a document whose payloads hold at least 2 * ``_CHUNK``
 pairs in all into k runs of whole chunks (writer) or blocks (reader), k =
@@ -66,7 +65,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimChainBroken, FileFormatError
+from .errors import FileFormatError, IdmpsError, ShapeMismatch
 from .mps import BondSpectrum, MatrixProductState, SiteTensor, parse_form_tag
 from .tensor import DenseTensor
 
@@ -166,14 +165,6 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 _BLOCK = 1 << 18
 
 
-def _is_shape(shape) -> bool:
-    return (
-        isinstance(shape, list)
-        and bool(shape)
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
-    )
-
-
 def _find(fd: int, pattern: bytes, pos: int, end: int) -> int:
     """Where the first ``pattern`` whole in the file's bytes [pos, end) starts,
     or -1. It reads 4 KiB at a time, each read len(pattern) - 1 bytes longer
@@ -241,16 +232,6 @@ def _read_blocks(path: str) -> dict | list | None:
     return doc
 
 
-def _read_tensor_blocks(path: str) -> tuple[list, np.ndarray] | None:
-    """(shape, data) of a tensor file that ``_read_blocks`` reads, laid out as save_tensor
-    writes it (keys version 1, shape and a payload as data, in that order); else None."""
-    doc = _read_blocks(path)
-    if isinstance(doc, dict) and [*doc] == ["version", "shape", "data"] and doc["version"] == FILE_VERSION:
-        if _is_shape(doc["shape"]) and isinstance(doc["data"], np.ndarray):
-            return doc["shape"], doc["data"]
-    return None
-
-
 def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -280,20 +261,22 @@ def _decode_complex(pairs, what: str) -> np.ndarray:
     return _check_finite(out, what)
 
 
-def _load_document(path: str, what: str, doc=None) -> dict:
-    """``doc`` (the block reader's) or json.load's, checked to be an object of this version."""
+def _load_document(path: str, kind: str) -> dict:
+    """The block reader's document, or json.load's where the block reader declines the
+    file, checked to be an object of this version; ``kind`` names the file in errors."""
+    doc = _read_blocks(path)
     if doc is None:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{what} {path!r}: invalid JSON ({exc})") from exc
+            raise FileFormatError(f"{kind} {path!r}: invalid JSON ({exc})") from exc
         except RecursionError:
-            raise FileFormatError(f"{what} {path!r}: JSON nested too deeply") from None
+            raise FileFormatError(f"{kind} {path!r}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
-        raise FileFormatError(f"{what} {path!r}: top level must be an object")
+        raise FileFormatError(f"{kind} {path!r}: top level must be an object")
     if doc.get("version") != FILE_VERSION:
-        raise FileFormatError(f"{what} {path!r}: unsupported version {doc.get('version')!r}")
+        raise FileFormatError(f"{kind} {path!r}: unsupported version {doc.get('version')!r}")
     return doc
 
 
@@ -304,12 +287,11 @@ def save_tensor(path: str, t: DenseTensor) -> None:
 
 
 def load_tensor(path: str) -> DenseTensor:
-    what = f"tensor file {path!r}"
-    # The block reader's (shape, data), or json.load's.
-    shape, data = _read_tensor_blocks(path) or map(_load_document(path, "tensor file").get, ("shape", "data"))
-    if not _is_shape(shape):
+    doc, what = _load_document(path, "tensor file"), f"tensor file {path!r}"
+    shape = doc.get("shape")
+    if not isinstance(shape, list) or not shape or not all(type(d) is int and d >= 1 for d in shape):
         raise FileFormatError(f"{what}: shape must be a list of positive integers")
-    data = _decode_complex(data, what)
+    data = _decode_complex(doc.get("data"), what)
     if data.size != math.prod(shape):
         raise FileFormatError(f"{what}: {data.size} entries for shape {tuple(shape)}")
     return DenseTensor(tuple(shape), data)  # the array filled here, shape checked: no copy
@@ -326,57 +308,48 @@ def save_mps(path: str, m: MatrixProductState) -> None:
         _write(fh, items)
 
 
-def load_mps(path: str) -> MatrixProductState:
-    doc = _load_document(path, "mps file", _read_blocks(path))
+# The two decoders check only what the constructors leave to their callers: that
+# dimensions are ints (json's true is an int to SiteTensor), data [re, im] pairs
+# and weights finite reals. A constructor's error names its site or bond.
+def _site(raw, what: str) -> SiteTensor:
+    """A site of an MPS document: an object whose dimensions are ints and whose data are [re, im] pairs."""
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{what} must be an object")
+    dims = [raw.get(key) for key in ("phys_dim", "left_dim", "right_dim")]
+    if not all(type(d) is int for d in dims):
+        raise FileFormatError(f"{what}: phys_dim, left_dim and right_dim must be integers")
+    data = _decode_complex(raw.get("data"), what)
+    data.flags.writeable = False  # nothing else holds it, so the site adopts it
     try:
-        form, center = parse_form_tag(doc.get("form"))
+        return SiteTensor(*dims, data)
+    except ShapeMismatch as exc:
+        raise FileFormatError(f"{what}: {exc}") from exc
+
+
+def _bond(raw, what: str) -> BondSpectrum | None:
+    """A bond's weights in an MPS document: null, or a list of finite reals."""
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
+        raise FileFormatError(f"{what} must be null or a list of reals")
+    try:
+        return BondSpectrum(_check_finite(np.array(raw, dtype=float), what))
+    except OverflowError:  # an int past the float range
+        raise FileFormatError(f"{what}: an entry is not finite") from None
     except ValueError as exc:
-        raise FileFormatError(f"mps file {path!r}: {exc}") from exc
-    raw_sites = doc.get("sites")
-    if not isinstance(raw_sites, list) or not raw_sites:
-        raise FileFormatError(f"mps file {path!r}: sites must be a nonempty list")
-    sites = []
-    for n, raw in enumerate(raw_sites, start=1):
-        if not isinstance(raw, dict):
-            raise FileFormatError(f"mps file {path!r}: site {n} must be an object")
-        for key in ("phys_dim", "left_dim", "right_dim"):
-            if not _is_shape([raw.get(key)]):  # a positive int, not a bool
-                raise FileFormatError(f"mps file {path!r}: site {n} field {key} must be a positive integer")
-        data = _decode_complex(raw.get("data"), f"mps file {path!r} site {n}")
-        data.flags.writeable = False  # nothing else holds it, so the site adopts it
-        try:
-            sites.append(SiteTensor(raw["phys_dim"], raw["left_dim"], raw["right_dim"], data))
-        except Exception as exc:
-            raise FileFormatError(f"mps file {path!r}: site {n}: {exc}") from exc
-    raw_bonds = doc.get("bonds")
-    bonds = None
-    if raw_bonds is not None:
-        if not isinstance(raw_bonds, list):
-            raise FileFormatError(f"mps file {path!r}: bonds must be null or a list")
-        bonds = []
-        for n, raw in enumerate(raw_bonds, start=1):
-            if raw is None:
-                bonds.append(None)
-                continue
-            if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
-                raise FileFormatError(
-                    f"mps file {path!r}: bond {n} must be null or a list of reals"
-                )
-            what = f"mps file {path!r} bond {n}"
-            try:
-                values = _check_finite(np.array(raw, dtype=float), what)
-            except OverflowError:
-                raise FileFormatError(f"{what}: an entry is not finite") from None
-            try:
-                bonds.append(BondSpectrum(values))
-            except ValueError as exc:
-                raise FileFormatError(f"mps file {path!r}: bond {n}: {exc}") from exc
+        raise FileFormatError(f"{what}: {exc}") from exc
+
+
+def load_mps(path: str) -> MatrixProductState:
+    doc = _load_document(path, "mps file")
+    sites, bonds = doc.get("sites"), doc.get("bonds")
     try:
-        return MatrixProductState(
-            sites=tuple(sites),
-            bonds=None if bonds is None else tuple(bonds),
-            form=form,
-            center=center,
-        )
-    except (ValueError, DimChainBroken) as exc:
+        if not isinstance(sites, list) or not isinstance(bonds, (list, type(None))):
+            raise FileFormatError("sites must be a list and bonds null or a list")
+        form, center = parse_form_tag(doc.get("form"))
+        sites = tuple(_site(raw, f"site {n}") for n, raw in enumerate(sites, start=1))
+        if bonds is not None:
+            bonds = tuple(_bond(raw, f"bond {n}") for n, raw in enumerate(bonds, start=1))
+        return MatrixProductState(sites, bonds, form, center)
+    except (ValueError, IdmpsError) as exc:
         raise FileFormatError(f"mps file {path!r}: {exc}") from exc

@@ -700,7 +700,7 @@ def test_rank_tolerance_env_invalid_exit_1(tmp_path, capsys, monkeypatch):
     assert err.strip()
 
 
-@pytest.mark.parametrize("raw", ["inf", "1", "2.5", "nan", "0"])
+@pytest.mark.parametrize("raw", ["inf", "1", "2.5", "nan", "0", "abc"])
 def test_rank_tolerance_env_outside_the_unit_interval_exit_1(tmp_path, capsys, monkeypatch, raw):
     src = write_ghz(tmp_path)
     monkeypatch.setenv("IDMPS_RANK_TOL", raw)
@@ -711,7 +711,15 @@ def test_rank_tolerance_env_outside_the_unit_interval_exit_1(tmp_path, capsys, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+def test_decompose_checks_its_settings_before_reading_the_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IDMPS_RANK_TOL", "abc")
+    missing = str(tmp_path / "missing.json")
+    code, report, err = run_cli(capsys, "decompose", missing, "--form", "left", "--out", str(tmp_path / "o.json"))
+    assert (code, report) == (1, None)
+    assert "IDMPS_RANK_TOL must be in (0, 1), got 'abc'" in err and "missing.json" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
 def test_verify_rejects_nan_and_negative_tolerance(tmp_path, capsys, tol):
     mps_path = tmp_path / "m.json"
     assert run_cli(capsys, "decompose", write_ghz(tmp_path), "--form", "left",

@@ -241,8 +241,8 @@ MUTATED_TENSORS = {
     "three": ([("-0.25]", "-0.25, 1.0]")], False),
     "nested": ([("[0.5, -0.25]", "[[0.5, -0.25], 1.0]")], False),
     "spaces": ([("[0.5, -0.25]", "[0.5,  -0.25]")], False),
-    "swapped-keys": ([('"version": 1, "shape": [4]', '"shape": [4], "version": 1')], False),
-    "float-shape": ([("[4]", "[4.0]")], False),
+    "swapped-keys": ([('"version": 1, "shape": [4]', '"shape": [4], "version": 1')], True),
+    "float-shape": ([("[4]", "[4.0]")], True),
     "deep-shape": ([("[4]", "[" * 100000 + "4]")], False),
     "empty-data": ([("[[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [2.0, 3.0]]", "[]")], False),
     "crlf": ([("}\n", "}\r\n")], False),
@@ -267,7 +267,7 @@ def test_block_reader_ints_agree_with_json_load(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("ints") / "t.json"
     path.write_text(_dumped({"version": 1, "shape": [len(pairs)], "data": [list(p) for p in pairs]}))
     got = _outcome(str(path))
-    with mock.patch.object(idmps.io, "_read_tensor_blocks", return_value=None):
+    with mock.patch.object(idmps.io, "_read_blocks", return_value=None):
         assert got == _outcome(str(path))
 
 
@@ -314,9 +314,9 @@ def test_block_reader_agrees_with_json_load(tmp_path, name, block):
     path = tmp_path / "t.json"
     path.write_text(text)
     with mock.patch.object(idmps.io, "_BLOCK", block):
-        assert (idmps.io._read_tensor_blocks(str(path)) is not None) == taken
+        assert (idmps.io._read_blocks(str(path)) is not None) == taken
         got = _outcome(str(path))
-    with mock.patch.object(idmps.io, "_read_tensor_blocks", return_value=None):
+    with mock.patch.object(idmps.io, "_read_blocks", return_value=None):
         assert got == _outcome(str(path))
     if name == "huge-shape":
         assert got.endswith(": 4 entries for shape (1099511627776,)")
@@ -398,6 +398,43 @@ def test_mps_block_reader_agrees_with_json_load(tmp_path, name, block):
         assert got == _mps_outcome(str(path))
     if name == "unchanged":
         assert isinstance(got, tuple)
+
+
+SITES = BASE_MPS[BASE_MPS.index('"sites": [') + len('"sites": [') : BASE_MPS.index('], "bonds"')]
+
+# (edits to BASE_MPS, the site or bond the error names, if any)
+DAMAGED_MPS = {
+    "site-short-data": ([(", [0.0, -1.0]]}]", "]}]")], "site 2"),
+    # true passes every constructor check as the int 1 would.
+    "site-bool-dim": ([('"left_dim": 2, "right_dim": 1', '"left_dim": 2, "right_dim": true')], "site 2"),
+    "site-list": ([(SITES.split("}, ")[1], "[2, 2, 1]")], "site 2"),
+    "bond-increasing": ([("[[0.75, 0.25]]", "[[0.25, 0.75]]")], "bond 1"),
+    "bond-string": ([("[[0.75, 0.25]]", '[[0.75, "0.25"]]')], "bond 1"),
+    "bond-too-few-weights": ([("[[0.75, 0.25]]", "[[0.75]]")], "bond 1"),
+    "too-few-bonds": ([("[[0.75, 0.25]]", "[]")], None),
+    "no-sites": ([(SITES, "")], None),
+    "mixed-past-the-chain": ([('"form": "vidal"', '"form": "mixed:7"')], None),
+    "broken-chain": ([('"phys_dim": 2, "left_dim": 2', '"phys_dim": 1, "left_dim": 4')], "bond 1"),
+}
+
+
+@pytest.mark.parametrize("name", DAMAGED_MPS)
+def test_load_mps_errors_name_their_site_or_bond(tmp_path, name):
+    """A site or bond that the decoders or the constructors reject is named in
+    the FileFormatError, whichever path reads the file."""
+    edits, named = DAMAGED_MPS[name]
+    text = BASE_MPS
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as exc:
+        load_mps(str(path))
+    assert named is None or named in str(exc.value), str(exc.value)
+    with mock.patch.object(idmps.io, "_read_blocks", return_value=None), pytest.raises(FileFormatError) as slow:
+        load_mps(str(path))
+    assert str(slow.value) == str(exc.value)
 
 
 def test_block_reader_peak_memory(tmp_path):
@@ -522,12 +559,12 @@ def test_split_codec_is_exact(tmp_path, length, workers):
         save_tensor(str(path), tensor_new((length,), data))
         assert fork.call_count == _parts(length, workers) - 1
         assert filecmp.cmp(path, reference, shallow=False)
-        fast = idmps.io._read_tensor_blocks(str(reference))
+        fast = idmps.io._read_blocks(str(reference))
         assert fork.call_count == 2 * (_parts(length, workers) - 1)
     with open(reference) as fh:
         expected = np.array(json.load(fh)["data"], dtype=float).reshape(-1)
-    assert fast is not None and fast[0] == [length]
-    assert fast[1].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert fast is not None and fast["shape"] == [length]
+    assert fast["data"].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -566,7 +603,7 @@ def test_split_reader_bad_token_in_a_child_range(tmp_path):
     with open(path) as fh, pytest.raises(json.JSONDecodeError) as decode:
         json.load(fh)
     with mock.patch.object(idmps.io, "_WORKERS", 2):
-        assert idmps.io._read_tensor_blocks(str(path)) is None
+        assert idmps.io._read_blocks(str(path)) is None
         with pytest.raises(FileFormatError) as exc:
             load_tensor(str(path))
     assert str(exc.value) == f"tensor file {str(path)!r}: invalid JSON ({decode.value})"
@@ -595,7 +632,7 @@ def test_split_codec_survives_failed_children(tmp_path, capfd):
         idmps.io, "_texts", child_fails(texts)
     ), mock.patch.object(idmps.io.json, "loads", child_fails(loads)):
         save_tensor(str(path), tensor_new((length,), data))
-        assert idmps.io._read_tensor_blocks(str(path)) is None
+        assert idmps.io._read_blocks(str(path)) is None
         back = load_tensor(str(path)).data
     assert path.read_text() == _dumped({"version": 1, "shape": [length], "data": _pairs(data)})
     assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
