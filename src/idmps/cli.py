@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 malformed input or parameters (sizes that would
 make an array past ``MAX_ENTRIES`` entries included), 2 numerical failure
 (floating-point overflow and running out of memory included), 3
 verification / claimed-form failure. The environment variable IDMPS_RANK_TOL
-overrides the default rank-cut tolerance used by the decompositions.
+overrides the default rank-cut tolerance used by the decompositions; the
+weight its cut drops is part of the decompose report's truncation_errors.
 """
 
 import argparse

@@ -18,13 +18,15 @@ from a right sweep, the one site sweep with the same SVD step run over
 the mirrored chain, which moves the weight back: the right form after a
 full right sweep, the mixed form after the steps down to its center, the
 Vidal form after a full right sweep that records every bond's weights.
-One rule decides every cut of every sweep and returns its record
-(``CutDiagnostics``): the singular values the SVD found there, how many
-the policy kept, and the weight it discarded; ``decompose`` returns the
-dense sweep's records, whose discarded weights add in quadrature to the
-distance between the input and the returned state. Truncation, of any
-form, runs the site sweep with that step after a right sweep with a QR
-step. A state keeps read-only copies of its arrays, so it also keeps
+One rule (``_cut``) decides every cut of every sweep, the rank cut
+included, and returns its record (``CutDiagnostics``): the singular
+values the SVD found there above the rank cut, how many the policy kept,
+and the weight of every value dropped; ``decompose`` returns the dense
+sweep's records, whose discarded weights add in quadrature to the
+distance between the input and the returned state. The right sweeps
+only move the gauge, so they cut numerical zeros alone. Truncation, of
+any form, runs the site sweep with that step after a right sweep with a
+QR step. A state keeps read-only copies of its arrays, so it also keeps
 what its queries derive, built on first use: the chain with its stored
 weights folded in, the R factors of that same QR sweep run from each
 end, and two tables of chain products over a prefix and a suffix of the
@@ -60,10 +62,15 @@ from .errors import (
 )
 from .schmidt import entropy_from_values
 from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_entries, _exponent, _lapack_svd
-from .tensor import low_rank_error, svd
+from .tensor import _rank, low_rank_error, svd
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 _CHAIN_RANGE = "the state's chain, its bond weights folded in, is outside the double-precision range"
+
+
+def _integer(x) -> bool:
+    """Whether ``x`` is an integer, NumPy's too, but not a bool (a max bond or a center)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -118,9 +125,10 @@ class BondSpectrum:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Per-cut truncation rule: cap the bond at ``max_bond`` values and/or
-    drop the largest tail whose discarded weight sqrt(sum lambda^2) stays
-    <= ``weight_tol``. At least one field must be set."""
+    """Per-cut truncation rule: cap the bond at ``max_bond`` values (an
+    integer, NumPy's too, but not a bool) and/or drop the largest tail whose
+    discarded weight sqrt(sum lambda^2) stays <= ``weight_tol``. At least
+    one field must be set."""
 
     max_bond: int | None = None
     weight_tol: float | None = None
@@ -128,8 +136,8 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.max_bond is None and self.weight_tol is None:
             raise PolicyEmpty("set max_bond and/or weight_tol")
-        if self.max_bond is not None and self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond}")
+        if self.max_bond is not None and not (_integer(self.max_bond) and self.max_bond >= 1):
+            raise ValueError(f"max_bond must be an integer >= 1, got {self.max_bond!r}")
         if self.weight_tol is not None and not self.weight_tol >= 0.0:
             raise ValueError(f"weight_tol must be >= 0, got {self.weight_tol}")
 
@@ -140,10 +148,12 @@ class MatrixProductState:
 
     ``bonds`` is either None or an (N-1)-tuple whose entry n-1 is the
     weight vector on bond n (None where no weights sit, e.g. away from
-    the center of a mixed-canonical state). The ``form`` tag records how
-    the state was built; it is verified by the verify_* operations,
-    never assumed. What queries derive from the state is built on first
-    use and kept with it (two threads may both build it, equally).
+    the center of a mixed-canonical state). ``center``, None or an
+    integer (NumPy's too, but not a bool), is the center bond the mixed
+    form requires. The ``form`` tag records how the state was built; it
+    is verified by the verify_* operations, never assumed. What queries
+    derive from the state is built on first use and kept with it (two
+    threads may both build it, equally).
     """
 
     sites: tuple[SiteTensor, ...]
@@ -177,6 +187,8 @@ class MatrixProductState:
                     )
         if self.form not in FORMS:
             raise ValueError(f"unknown form tag {self.form!r}")
+        if self.center is not None and not _integer(self.center):
+            raise ValueError(f"center must be None or an integer, got {self.center!r}")
         if self.form == "mixed" and (self.center is None or not 1 <= self.center <= len(sites) - 1):
             raise ValueError(f"mixed form needs a center in 1..{len(sites) - 1}")
 
@@ -284,11 +296,13 @@ class GaugeReport:
 class CutDiagnostics:
     """What a sweep did at one cut.
 
-    ``spectrum`` holds the singular values its SVD found there, after the
+    ``spectrum`` holds the singular values its SVD found there above the
     rank cut (for the dense sweep without truncation, that cut's Schmidt
     coefficients of the input), ``kept`` how many of them the policy
-    kept, and ``discarded`` the dropped weight sqrt(sum of
-    spectrum[kept:]^2).
+    kept, and ``discarded`` the weight of every value the SVD found past
+    ``kept``, those below the rank cut included: sqrt(sum of s[kept:]^2).
+    It is ``low_rank_error(spectrum, kept)`` only where the rank cut
+    dropped nothing.
     """
 
     spectrum: np.ndarray
@@ -297,12 +311,14 @@ class CutDiagnostics:
 
 
 @np.errstate(over="ignore")
-def _cut(s: np.ndarray, policy: TruncationPolicy | None) -> CutDiagnostics:
-    """The record of one cut with nonincreasing values ``s``: ``policy``
-    (None keeps all) keeps at least one; no values means a zero state."""
-    if s.size == 0:
+def _cut(s: np.ndarray, policy: TruncationPolicy | None, rank_tol: float) -> CutDiagnostics:
+    """The record of one cut, the only place that decides one: of every nonincreasing value
+    ``s`` an SVD found, ``_rank`` keeps those above its cut, then ``policy`` (None keeps all)
+    keeps at least one of those, counting the rank cut's weight against ``weight_tol``;
+    nothing above the rank cut means a zero state."""
+    keep = rank = _rank(s, rank_tol)
+    if rank == 0:
         raise ZeroState("the state is zero")
-    keep = int(s.size)
     if policy is not None:
         if policy.max_bond is not None:
             keep = min(keep, policy.max_bond)
@@ -311,7 +327,7 @@ def _cut(s: np.ndarray, policy: TruncationPolicy | None) -> CutDiagnostics:
             tails = np.sqrt(np.cumsum(np.ldexp(s[::-1], -e) ** 2))[::-1]  # tails[k] = ||s[k:]|| / 2**e
             allowed = np.nonzero(tails <= np.ldexp(policy.weight_tol, -e))[0]
             keep = max(min(keep, int(allowed[0]) if allowed.size else keep), 1)
-    return CutDiagnostics(s, keep, low_rank_error(s, keep) if keep < s.size else 0.0)
+    return CutDiagnostics(s[:rank], keep, low_rank_error(s, keep) if keep < s.size else 0.0)
 
 
 def _check_nonzero(data: np.ndarray) -> None:
@@ -338,11 +354,12 @@ def _dense_sweep(
 
 def _split(a: np.ndarray, policy: TruncationPolicy | None, rank_tol: float) -> tuple:
     """One SVD step on ``a``: the kept columns of U, the weight S Vh they leave and the cut's
-    record. A wide ``a`` gets U and S from the SVD of ``_wide_factor(a)`` and S Vh as U^H a,
-    so no full-size Vh is built; otherwise S Vh is formed in place in Vh."""
+    record, which ``_cut`` makes from every nonzero singular value. A wide ``a`` gets U and S
+    from the SVD of ``_wide_factor(a)`` and S Vh as U^H a, so no full-size Vh is built;
+    otherwise S Vh is formed in place in Vh."""
     wide = a.shape[0] < a.shape[1]
-    res = svd(_wide_factor(a) if wide else a, rank_tol)
-    cut = _cut(res.s, policy)
+    res = svd(_wide_factor(a) if wide else a, 0.0)
+    cut = _cut(res.s, policy, rank_tol)
     u, keep = res.u[:, : cut.kept], cut.kept
     with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
         w = u.conj().T @ a if wide else np.multiply(res.vh[:keep], res.s[:keep, None], out=res.vh[:keep])
@@ -407,9 +424,10 @@ def _state(
 def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
     """Canonical form of a chain whose blocks 1..N-1 are left isometries.
 
-    An untruncated right sweep leaves every bond's weights equal to the
-    exact Schmidt values of the final state; each Gamma is the block
-    left by the sweep divided by its right-bond weights.
+    An untruncated right sweep, a gauge move whose ``rank_tol`` should cut
+    only numerical zeros, leaves every bond's weights equal to the exact
+    Schmidt values of the final state; each Gamma is the block left by
+    the sweep divided by its right-bond weights.
     """
     mirror = _mirror(blocks)
     steps = _sweep(mirror, len(blocks) - 1, lambda a: _split(a, None, rank_tol))
@@ -427,26 +445,31 @@ def decompose(
     dense sweep's record of each of its N-1 cuts.
 
     ``center`` (1..N-1, N >= 2) is required for, and only accepted with,
-    the mixed form. ``policy`` truncates each cut as the sweep reaches
-    it, left to right, so the records' discarded weights add in
-    quadrature to the distance between ``t`` and the returned state.
+    the mixed form. Each cut drops the values at or below ``rank_tol``
+    times its largest, then what ``policy`` truncates, as the sweep
+    reaches it, left to right; the records count both, so their
+    discarded weights add in quadrature to the distance between ``t``
+    and the returned state. The right sweeps that make the other forms
+    move the gauge only: they cut numerical zeros alone, at
+    min(``rank_tol``, DEFAULT_RANK_TOL).
     """
     if form == "mixed":
-        if center is None or not 1 <= center <= t.ndim - 1:
+        if not (_integer(center) and 1 <= center <= t.ndim - 1):
             raise CenterOutOfRange(
-                f"center must be in 1..{max(t.ndim - 1, 1)} with N >= 2, got {center}"
+                f"center must be an integer in 1..{max(t.ndim - 1, 1)} with N >= 2, got {center!r}"
             )
     elif form not in ("left", "right", "vidal"):
         raise ValueError(f"form must be left, right, mixed or vidal, got {form!r}")
     elif center is not None:
         raise ValueError(f"a center applies only to the mixed form, not {form!r}")
     blocks, cuts = _dense_sweep(t, policy, rank_tol)
+    zeros = min(rank_tol, DEFAULT_RANK_TOL)
     if form == "left":
         return _state(blocks, "left"), cuts
     if form == "vidal":
-        return _vidal(blocks, rank_tol), cuts
+        return _vidal(blocks, zeros), cuts
     mirror = _mirror(blocks)
-    steps = _sweep(mirror, t.ndim - (center or 1), lambda a: _split(a, None, rank_tol))
+    steps = _sweep(mirror, t.ndim - (center or 1), lambda a: _split(a, None, zeros))
     blocks = _mirror(mirror)
     if form == "right":
         return _state(blocks, "right"), cuts
@@ -664,7 +687,7 @@ def truncate(
     if not all(np.isfinite(g).all() for g in blocks):
         raise ConvergenceFailure(_CHAIN_RANGE)
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
-        cuts = [_cut(b.values, policy) for b in m.bonds]  # type: ignore[union-attr]
+        cuts = [_cut(b.values, policy, 0.0) for b in m.bonds]  # type: ignore[union-attr]
         errors = [cut.discarded for cut in cuts]
         keeps = [cut.kept for cut in cuts]
         if keeps == [cut.spectrum.size for cut in cuts]:
@@ -688,7 +711,8 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     Otherwise the state's QR sweeps, run on its first such query, have
     left-normalized the sites before the cut and, over the mirror,
     right-normalized those after it; the singular values of the bond
-    matrix between them, rank-cut as ``svd`` cuts, are the coefficients.
+    matrix between them, every one LAPACK finds, go to ``_cut``, and those
+    above its rank cut at DEFAULT_RANK_TOL are the coefficients.
     """
     if not 1 <= cut <= m.num_sites - 1:
         raise CutOutOfRange(f"cut must be in 1..{m.num_sites - 1}, got {cut}")
@@ -697,8 +721,7 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
             return m.bonds[cut - 1]
     lefts, rights = m._bond_rs
     weight = lefts[cut - 1] @ rights[-cut].T
-    s, rank = _lapack_svd(weight, False, DEFAULT_RANK_TOL)
-    return BondSpectrum(_cut(s[:rank], None).spectrum)
+    return BondSpectrum(_cut(_lapack_svd(weight, False), None, DEFAULT_RANK_TOL).spectrum)
 
 
 def entanglement_entropy(m: MatrixProductState, cut: int) -> float:

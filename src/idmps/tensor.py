@@ -135,9 +135,15 @@ def dematricize(m: np.ndarray, shape: Sequence[int], cut: int) -> DenseTensor:
     return DenseTensor(shape=dims, data=np.array(m, dtype=complex).reshape(-1))
 
 
-def _lapack_svd(a: np.ndarray, compute_uv: bool, rank_tol: float):
-    """numpy's thin SVD of ``a`` and the number of values above
-    ``rank_tol * s_max``; failure and overflow raise ConvergenceFailure."""
+def _rank(s: np.ndarray, rank_tol: float) -> int:
+    """The rank cut, the one threshold every cut applies: how many of the nonincreasing
+    values ``s`` lie above rank_tol * s[0] (none when ``s`` is empty or zero)."""
+    return int(np.count_nonzero(s > rank_tol * s[:1]))
+
+
+def _lapack_svd(a: np.ndarray, compute_uv: bool):
+    """numpy's thin SVD of ``a``, every value it found; failure and overflow
+    raise ConvergenceFailure."""
     try:
         res = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
@@ -148,19 +154,19 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool, rank_tol: float):
         raise ConvergenceFailure(
             "SVD overflowed: the matrix's singular values exceed the double-precision range"
         )
-    return res, int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0 else 0
+    return res
 
 
 def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     """Thin SVD with rank cut and a deterministic phase gauge.
 
-    Singular values <= rank_tol * s_max are discarded (with the matching
-    u columns / vh rows). Each retained (u column, vh row) pair is
-    rotated so the largest-magnitude entry of the u column is real and
-    positive, which fixes the output uniquely away from degenerate
-    values. Raises ConvergenceFailure when LAPACK does not converge or
-    when a singular value is not finite (a matrix whose norm overflows
-    a double, even if every entry is finite).
+    Singular values at or below the rank cut (``_rank``: rank_tol times
+    s_max) are discarded, with the matching u columns / vh rows. Each
+    retained (u column, vh row) pair is rotated so the largest-magnitude
+    entry of the u column is real and positive, which fixes the output
+    uniquely away from degenerate values. Raises ConvergenceFailure when
+    LAPACK does not converge or when a singular value is not finite (a
+    matrix whose norm overflows a double, even if every entry is finite).
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
@@ -169,11 +175,11 @@ def svd(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     # wide one, so a wide matrix (from schmidt_decompose or a library caller: mps passes
     # a wide matrix's small triangular factor) is factored as A^T = Vh^T S U^T.
     wide = a.shape[0] < a.shape[1]
-    (u, s, vh), rank = _lapack_svd(a.T if wide else a, True, rank_tol)
+    u, s, vh = _lapack_svd(a.T if wide else a, True)
     if wide:
         u, vh = vh.T, u.T
-    # Views of LAPACK's factors, rotated in place: no full-size copy.
-    u, s, vh = u[:, :rank], s[:rank], vh[:rank]
+    # Views of LAPACK's factors above the rank cut, rotated in place: no full-size copy.
+    u, s, vh = u[:, : (rank := _rank(s, rank_tol))], s[:rank], vh[:rank]
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(rank)]
     # hypot, unlike np.abs on an array, rounds exactly as the scalar abs.
     phase = pivot / np.hypot(pivot.real, pivot.imag)

@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from idmps import (
     save_tensor,
     state_norm,
     tensor_new,
+    tensor_norm,
     to_dense,
 )
 from idmps.cli import main
@@ -688,6 +690,23 @@ def test_rank_tolerance_env_override(tmp_path, capsys, monkeypatch):
     code, report, _ = run_cli(capsys, "decompose", str(src), "--form", "left", "--out", out)
     assert code == 0
     assert report["bond_dims"] == [1]
+
+
+def test_rank_cut_weight_is_reported_and_adds_to_the_residual(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    t = tensor_new((2,) * 6, data / np.linalg.norm(data))
+    src = tmp_path / "t.json"
+    save_tensor(str(src), t)
+    monkeypatch.setenv("IDMPS_RANK_TOL", "0.3")
+    for form in ("left", "vidal"):
+        mps_path, out = str(tmp_path / f"{form}.json"), str(tmp_path / "r.json")
+        code, report, _ = run_cli(capsys, "decompose", str(src), "--form", form, "--out", mps_path)
+        assert code == 0
+        assert report["bond_dims"] != [2, 4, 8, 4, 2]  # the rank cut dropped values
+        code, rec, _ = run_cli(capsys, "reconstruct", mps_path, "--out", out, "--reference", str(src))
+        assert code == 0 and rec["residual"] > 0.1
+        assert abs(math.hypot(*report["truncation_errors"]) - rec["residual"] * tensor_norm(t)) <= 1e-12, form
 
 
 def test_rank_tolerance_env_invalid_exit_1(tmp_path, capsys, monkeypatch):

@@ -145,6 +145,45 @@ def test_truncation_policy_validation():
     assert p.max_bond == 2 and p.weight_tol == 0.1
 
 
+@pytest.mark.parametrize(
+    "bad", [1.5, 2.0, np.float64(2.0), True, False, np.bool_(True), "2"],
+    ids=["float", "integral-float", "numpy-float", "True", "False", "numpy-bool", "string"],
+)
+def test_truncation_policy_rejects_a_max_bond_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match="max_bond must be an integer >= 1"):
+        TruncationPolicy(max_bond=bad)
+
+
+@pytest.mark.parametrize("chi", [1, np.int64(1), np.int32(1), np.uint8(1)], ids=["int", "int64", "int32", "uint8"])
+def test_truncation_policy_takes_numpy_integers(chi):
+    m, cuts = decompose(ghz_tensor(), "left", policy=TruncationPolicy(max_bond=chi))
+    assert m.bond_dims == (1, 1) and [cut.kept for cut in cuts] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "center", [True, False, 1.0, np.float64(1.0), np.bool_(True), "1"],
+    ids=["True", "False", "integral-float", "numpy-float", "numpy-bool", "string"],
+)
+def test_a_center_that_is_not_an_integer_is_rejected(center):
+    with pytest.raises(CenterOutOfRange, match="center must be an integer"):
+        decompose(ghz_tensor(), "mixed", center)
+    m = from_dense_mixed_canonical(ghz_tensor(), 1)
+    for form in ("mixed", "left"):
+        with pytest.raises(ValueError, match="center must be None or an integer"):
+            MatrixProductState(m.sites, m.bonds, form, center)
+
+
+def test_a_numpy_integer_center_round_trips(tmp_path):
+    t = random_tensor(np.random.default_rng(35), (2, 3, 2, 2))
+    m, _ = decompose(t, "mixed", np.int64(2))
+    path = str(tmp_path / "m.json")
+    idmps.save_mps(path, m)
+    back = idmps.load_mps(path)
+    assert (m.tag, back.tag, back.center) == ("mixed:2", "mixed:2", 2)
+    assert verify(back).passed
+    assert to_dense(back).data.tobytes() == to_dense(m).data.tobytes()
+
+
 def test_mps_dim_chain_validation():
     a = SiteTensor(2, 1, 2, np.zeros(4))
     b = SiteTensor(2, 3, 1, np.zeros(6))

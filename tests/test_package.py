@@ -23,6 +23,19 @@ def test_readme_api_example_runs(capsys):
     assert capsys.readouterr().out.count("True") == 2  # the two verify(...).passed lines
 
 
+def test_one_function_holds_the_rank_cut():
+    """The rank cut's threshold is written in one function of the package, so that a
+    second rank rule, deciding cuts before the one cut rule sees them, cannot come back."""
+    holders, total = [], 0
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        total += text.count("rank_tol *")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and (found := ast.get_source_segment(text, node).count("rank_tol *")):
+                holders.append((path.name, node.name, found))
+    assert holders == [("tensor.py", "_rank", total)]  # and no occurrence outside it
+
+
 def names_read(tree):
     """Every bare name ``tree`` reads (docstring text is not a read)."""
     return {

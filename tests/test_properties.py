@@ -110,6 +110,29 @@ def test_decompose_records_add_to_the_distance(case):
         assert abs(quadrature - distance) <= 1e-10, (form, center)
 
 
+rank_tols = st.floats(-12.0, np.log10(0.9)).map(lambda e: 10.0**e)  # log-uniform in [1e-12, 0.9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes, rank_tols, st.one_of(st.none(), policies), st.integers(0, 2**32 - 1))
+# The cut at 2 lowers the state's spectrum at cut 1, so a right sweep cutting at rank_tol again,
+# not only numerical zeros, would drop weight that no record counts.
+@example((4, 2, 4), 0.6790601652694139, TruncationPolicy(weight_tol=0.31890849531172294), 3782260412)
+def test_records_count_what_the_rank_cut_drops(shape, rank_tol, policy, seed):
+    """At any rank tolerance, every form's records add in quadrature to the distance from
+    the input: what the rank cut drops is counted with what the policy drops."""
+    t = unit_tensor(shape, seed)
+    forms = [("left", None), ("right", None), ("vidal", None)]
+    forms += [("mixed", center) for center in range(1, t.ndim)]
+    for form, center in forms:
+        m, cuts = decompose(t, form, center, policy, rank_tol)
+        distance = float(np.linalg.norm(t.data - to_dense(m).data))
+        quadrature = float(np.sqrt(sum(cut.discarded**2 for cut in cuts)))
+        assert abs(quadrature - distance) <= 1e-12 * tensor_norm(t), (form, center)
+        for cut in cuts:
+            assert cut.discarded >= low_rank_error(cut.spectrum, cut.kept), (form, center)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cases)
 def test_truncate_errors_combine_to_the_distance(case):
