@@ -250,15 +250,14 @@ def _decode_complex(pairs, what: str) -> np.ndarray:
         if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
             if set(map(type, chain.from_iterable(pairs))) <= {int, float}:
                 return _check_finite(np.array(pairs, dtype=float).reshape(-1).view(complex), what)
-    out = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
+    for i, pair in enumerate(pairs):  # some entry is bad, or the fast path would have taken them
         if not isinstance(pair, list) or len(pair) != 2 or not set(map(type, pair)) <= {int, float}:
             raise FileFormatError(f"{what}: entry {i} is not a [re, im] pair")
         try:
-            out[i] = complex(pair[0], pair[1])
+            complex(pair[0], pair[1])
         except OverflowError:
             raise FileFormatError(f"{what}: entry {i} is not finite") from None
-    return _check_finite(out, what)
+    raise FileFormatError(f"{what}: data must be a list of [re, im] pairs")
 
 
 def _load_document(path: str, kind: str) -> dict:

@@ -31,17 +31,20 @@ what its queries derive, built on first use: the chain with its stored
 weights folded in, the R factors of that same QR sweep run from each
 end, and two tables of chain products over a prefix and a suffix of the
 sites, one row per index assignment, each at most half the chain's size.
-A coefficient then costs the middle sites' vector products and one dot
-product. Schmidt spectra of bonds without stored weights need no SVD
-step: those gauge moves leave the bond's weight in one small matrix,
-whose singular values are the spectrum. The first such query on a state
-costs the two sweeps, each later cut one small values-only SVD. No
-operation here expands a chain into more entries than it holds except
-``to_dense`` itself. Without truncation the constructions reproduce the
-input to working precision, and the bond->Schmidt identifications hold
-at every cut. ``verify`` checks the gauge a state's form tag claims: each
-residual compares one site's Gram contraction with the identity or, for a
-Vidal left condition, with the squared weights of its right bond.
+One kernel (``_products``) multiplies out every chain product, for those
+tables, ``to_dense`` and the oscillator's ``wavefunction_mps``, and raises
+OverflowError where a product leaves the double range. A coefficient then
+costs the middle sites' vector products and one dot product. Schmidt
+spectra of bonds without stored weights need no SVD step: those gauge
+moves leave the bond's weight in one small matrix, whose singular values
+are the spectrum. The first such query on a state costs the two sweeps,
+each later cut one small values-only SVD. No operation here expands a
+chain into more entries than it holds except ``to_dense`` itself.
+Without truncation the constructions reproduce the input to working
+precision, and the bond->Schmidt identifications hold at every cut.
+``verify`` checks the gauge a state's form tag claims: each residual
+compares one site's Gram contraction with the identity or, for a Vidal
+left condition, with the squared weights of its right bond.
 
 This module owns the form tag: ``MatrixProductState.tag`` writes it
 (``mixed:<center>`` for a mixed state) and ``parse_form_tag`` reads it,
@@ -150,10 +153,10 @@ class MatrixProductState:
     weight vector on bond n (None where no weights sit, e.g. away from
     the center of a mixed-canonical state). ``center``, None or an
     integer (NumPy's too, but not a bool), is the center bond the mixed
-    form requires. The ``form`` tag records how the state was built; it
-    is verified by the verify_* operations, never assumed. What queries
-    derive from the state is built on first use and kept with it (two
-    threads may both build it, equally).
+    form requires and no other form takes. The ``form`` tag records how
+    the state was built; it is verified by the verify_* operations, never
+    assumed. What queries derive from the state is built on first use and
+    kept with it (two threads may both build it, equally).
     """
 
     sites: tuple[SiteTensor, ...]
@@ -189,6 +192,8 @@ class MatrixProductState:
             raise ValueError(f"unknown form tag {self.form!r}")
         if self.center is not None and not _integer(self.center):
             raise ValueError(f"center must be None or an integer, got {self.center!r}")
+        if self.center is not None and self.form != "mixed":
+            raise ValueError(f"a center applies only to the mixed form, not {self.form!r}")
         if self.form == "mixed" and (self.center is None or not 1 <= self.center <= len(sites) - 1):
             raise ValueError(f"mixed form needs a center in 1..{len(sites) - 1}")
 
@@ -236,24 +241,16 @@ class MatrixProductState:
 
     @cached_property
     def _envs(self) -> tuple[np.ndarray, ...]:
-        """Tables over a prefix and a disjoint suffix of the chain, shaped (d_i, .., d_j, bond):
-        entry [k_i, .., k_j] is the product of those sites' slices. Each grows one site at a
-        time (the suffix's over the mirror) while it holds at most half the chain's entries.
-        A chain that is not finite raises OverflowError here, as ``to_dense`` does."""
-        if not all(np.isfinite(g).all() for g in self._chain):
+        """Tables of ``_products`` over a prefix of the chain and over the mirror of the rest,
+        each while it holds at most half the chain's entries: entry [k_i, .., k_j] of the
+        prefix's, [k_N, .., k_j] of the suffix's, is the product of those sites' slices.
+        A chain or a table that is not finite raises OverflowError, as ``to_dense`` does."""
+        if not all(map(np.all, map(np.isfinite, self._chain))):
             raise OverflowError(_CHAIN_RANGE)
-        half, blocks, tables = sum(g.size for g in self._chain) // 2, self._chain, []
-        for prefix in (True, False):
-            rows, dims = np.ones((1, 1), dtype=complex), []
-            for g in blocks:
-                if len(rows) * g.shape[0] * g.shape[2] > half:
-                    break
-                grown = np.matmul(rows, g)  # (phys, rows, right): the newest index varies slowest
-                rows = (grown.transpose(1, 0, 2) if prefix else grown).reshape(-1, g.shape[2])
-                dims.append(len(g))
-            tables.append(_frozen(rows.reshape(*(dims if prefix else dims[::-1]), -1)))
-            blocks = _mirror(self._chain[len(dims):])
-        return tuple(tables)
+        half, dims = sum(map(np.size, self._chain)) // 2, self.phys_dims
+        prefix, lc = _products(self._chain, half)
+        suffix, rc = _products(_mirror(self._chain[lc:]), half)
+        return _frozen(prefix.reshape(*dims[:lc], -1)), _frozen(suffix.reshape(*dims[::-1][:rc], -1))
 
 
 def parse_form_tag(tag) -> tuple[str, int | None]:
@@ -519,17 +516,29 @@ def from_dense_vidal(
     return decompose(t, "vidal", None, policy, rank_tol)[0]
 
 
-def to_dense(m: MatrixProductState) -> DenseTensor:
-    """Contract the chain (and any bond weights) back to a tensor; TooLarge past
-    MAX_ENTRIES entries, OverflowError if an entry leaves the double range."""
-    _check_entries(m.phys_dims, "the dense state")
-    acc = np.array(m._chain[0][:, 0, :])  # a copy: the tensor owns its array
+def _products(blocks, limit: float) -> tuple[np.ndarray, int]:
+    """The slice products of the leading (phys, left, right) ``blocks``, grown one block at a
+    time while they hold at most ``limit`` entries: one row per index assignment, the first
+    block's index slowest, over the last block's right bond. Returns the rows and how many
+    blocks they cover; OverflowError if a product is outside the double range."""
+    rows, count = np.ones((1, 1), dtype=complex), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in m._chain[1:]:
-            acc = np.tensordot(acc, g, axes=([-1], [1]))
-    if not np.isfinite(acc).all():
-        raise OverflowError("an entry of the contracted state is outside the double-precision range")
-    return DenseTensor(m.phys_dims, acc.reshape(-1))
+        for g in blocks:
+            if len(rows) * g.shape[0] * g.shape[2] > limit:
+                break
+            pairs = g.transpose(1, 0, 2).reshape(g.shape[1], -1)  # (left, phys * right)
+            # The first block as it is (a product turns -0.0 into 0.0), copied: a dense tensor owns its array.
+            rows, count = (rows.dot(pairs) if count else np.array(pairs)).reshape(-1, g.shape[2]), count + 1
+    if not np.isfinite(rows).all():
+        raise OverflowError("a product of the chain's slices is outside the double-precision range")
+    return rows, count
+
+
+def to_dense(m: MatrixProductState) -> DenseTensor:
+    """Contract the chain (and any bond weights) back to a tensor with ``_products``; TooLarge
+    past MAX_ENTRIES entries, OverflowError if an entry leaves the double range."""
+    _check_entries(m.phys_dims, "the dense state")
+    return DenseTensor(m.phys_dims, _products(m._chain, np.inf)[0].reshape(-1))
 
 
 def _transfer(env: np.ndarray | None, block: np.ndarray, shift: int = 0) -> np.ndarray:
@@ -720,7 +729,8 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
     lefts, rights = m._bond_rs
-    weight = lefts[cut - 1] @ rights[-cut].T
+    with np.errstate(over="ignore", invalid="ignore"):  # _lapack_svd rejects a non-finite product
+        weight = lefts[cut - 1] @ rights[-cut].T
     return BondSpectrum(_cut(_lapack_svd(weight, False), None, DEFAULT_RANK_TOL).spectrum)
 
 
@@ -773,7 +783,7 @@ def coefficient(m: MatrixProductState, indices) -> complex:
         v = left[tuple(ks[:lc])]
         for k, per_site in zip(ks[lc:mid], m._slices[lc:mid]):
             v = v.dot(per_site[k])
-        return complex(v.dot(right[tuple(ks[mid:])]))
+        return complex(v.dot(right[tuple(ks[mid:][::-1])]))
     except (TypeError, IndexError):  # name the leftmost bad index
         for n, (k, per_site) in enumerate(zip(idx, m._slices), start=1):
             _phys_slice(per_site, k, n)

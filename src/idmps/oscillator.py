@@ -31,7 +31,7 @@ from math import comb, exp, factorial, isfinite, ldexp, lgamma, log, pi, sqrt
 import numpy as np
 
 from .errors import DegreeTooLarge, IndexOutOfRange, InsufficientNodes
-from .mps import MatrixProductState, SiteTensor, to_dense
+from .mps import MatrixProductState, SiteTensor, _products, to_dense
 from .tensor import DenseTensor, _check_entries
 
 #: Raw physicist's Hermite values overflow well before this; the
@@ -366,13 +366,12 @@ def build_bundle(params: OscillatorParams) -> OscillatorMpsBundle:
 
 
 def wavefunction_mps(bundle: OscillatorMpsBundle, x1: float, x2: float, x3: float) -> float:
-    """Evaluate the assembled MPS against the basis functions at one point."""
-    d = bundle.params.phys_cutoff
-    f1, f2, f3 = (_f_values(d - 1, np.asarray(x, dtype=float)) for x in (x1, x2, x3))
-    g1, g2, g3 = (s.as_array().real for s in bundle.mps.sites)
-    v = f1 @ g1[:, 0, :]
-    mid = np.einsum("k,kab->ab", f2, g2)
-    return float(v @ mid @ (f3 @ g3[:, :, 0]))
+    """Evaluate the assembled MPS against the basis functions at one point: each block of its
+    folded chain (stored bond weights count) is contracted with its site's basis values, and
+    ``_products`` multiplies the three matrices out."""
+    fs = _f_values(bundle.params.phys_cutoff - 1, np.array([x1, x2, x3], dtype=float))
+    blocks = map(lambda f, g: np.tensordot(f, g, axes=1)[None], fs.T, bundle.mps._chain)
+    return float(_products(blocks, np.inf)[0][0, 0].real)
 
 
 def _scaled_f(j_max: int, x: float, w: float) -> np.ndarray:

@@ -173,6 +173,17 @@ def test_a_center_that_is_not_an_integer_is_rejected(center):
             MatrixProductState(m.sites, m.bonds, form, center)
 
 
+@pytest.mark.parametrize("form", ["left", "right", "vidal", "unknown"])
+def test_a_center_on_a_form_other_than_mixed_is_rejected(form):
+    """A center only the mixed form keeps: the tag would not carry it, so a
+    saved file would lose it."""
+    m = from_dense_mixed_canonical(ghz_tensor(), 1)
+    for center in (1, 99):
+        with pytest.raises(ValueError, match=f"applies only to the mixed form, not '{form}'"):
+            MatrixProductState(m.sites, m.bonds, form, center)
+    assert MatrixProductState(m.sites, m.bonds, form).center is None
+
+
 def test_a_numpy_integer_center_round_trips(tmp_path):
     t = random_tensor(np.random.default_rng(35), (2, 3, 2, 2))
     m, _ = decompose(t, "mixed", np.int64(2))
@@ -966,6 +977,36 @@ def test_queries_on_a_chain_past_the_float_range_fail_without_a_warning():
                 query(m)
         with pytest.raises(ConvergenceFailure):
             truncate(m, TruncationPolicy(max_bond=1))
+
+
+def test_coefficient_of_a_chain_whose_products_overflow_raises_as_to_dense_does():
+    """Every site is finite, but the slice products of the prefix and suffix
+    tables leave the double range: coefficient raises OverflowError, as
+    to_dense does, without a numpy warning."""
+    rng = np.random.default_rng(29)
+    dims = [(1, 2), (2, 2), (2, 2), (2, 1)]
+    sites = tuple(SiteTensor(2, a, b, 1e200 * rng.standard_normal(2 * a * b)) for a, b in dims)
+    m = MatrixProductState(sites=sites, form="left")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (to_dense, lambda s: coefficient(s, (0, 0, 0, 0)), lambda s: coefficient(s, (1, 0, 1, 1))):
+            with pytest.raises(OverflowError):
+                query(m)
+
+
+def test_schmidt_queries_on_a_bond_matrix_past_the_float_range_fail_without_a_warning():
+    """Site 1 of the left form of [[3, 1], [1, 2]] replaced by two largest
+    doubles: the bond matrix overflows, and both queries raise
+    ConvergenceFailure without a numpy warning."""
+    m = decompose(tensor_new((2, 2), [3, 1, 1, 2]), "left")[0]
+    big = np.finfo(float).max
+    first = SiteTensor(2, 1, 2, np.array([big, big, 0, 0]))
+    s = MatrixProductState(sites=(first, m.sites[1]), form="left")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (bond_spectrum, entanglement_entropy):
+            with pytest.raises(ConvergenceFailure):
+                query(s, 1)
 
 
 def test_state_norm_is_finite_where_only_the_folded_chain_overflows():

@@ -141,6 +141,14 @@ def test_integral_closed_vs_quadrature():
                 assert q == pytest.approx(c, rel=1e-9, abs=1e-12)
 
 
+def test_integrals_reject_a_negative_index_and_a_degree_past_the_cap():
+    with pytest.raises(ValueError, match=r"indices must be >= 0, got \(-1, 0\)"):
+        integral_I_closed(-1, 0, 1.0)
+    cap = idmps.oscillator.MAX_HERMITE_DEGREE
+    with pytest.raises(DegreeTooLarge, match=rf"degrees must be <= {cap}, got \({cap + 1}, 1\)"):
+        integral_I_quadrature(cap + 1, 1, 1.0, points=120)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, idmps.oscillator.MAX_HERMITE_DEGREE),

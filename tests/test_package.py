@@ -36,6 +36,22 @@ def test_one_function_holds_the_rank_cut():
     assert holders == [("tensor.py", "_rank", total)]  # and no occurrence outside it
 
 
+def test_one_function_multiplies_out_a_chain():
+    """to_dense, the coefficient tables and wavefunction_mps hold no loop of their
+    own: each leaves the chain product to ``mps._products``, so that a second
+    product loop, with its own overflow rule, cannot come back."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    wanted = {("mps.py", "to_dense"), ("mps.py", "_envs"), ("oscillator.py", "wavefunction_mps")}
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in wanted:
+                found.add((path.name, node.name))
+                assert not any(isinstance(sub, loops) for sub in ast.walk(node)), node.name
+                assert "_products" in names_read(node), node.name
+    assert found == wanted
+
+
 def names_read(tree):
     """Every bare name ``tree`` reads (docstring text is not a read)."""
     return {

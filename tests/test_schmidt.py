@@ -124,3 +124,10 @@ def test_reconstruct_shape_mismatch():
         schmidt_reconstruct(sd, (3, 2))
     with pytest.raises(ShapeMismatch):
         schmidt_reconstruct(sd, (2, 2, 2))
+
+
+def test_reconstruct_rejects_a_cut_the_shape_does_not_have():
+    data = np.arange(8, dtype=complex)
+    sd = schmidt_decompose(tensor_new((2, 2, 2), data), 1)
+    with pytest.raises(ShapeMismatch, match=r"cut 1 invalid for shape \(4,\)"):
+        schmidt_reconstruct(sd, (4,))

@@ -14,6 +14,7 @@ from idmps import (
     tensor_new,
     tensor_norm,
 )
+from idmps.tensor import _lapack_svd
 
 BELL = np.array([2**-0.5, 0.0, 0.0, 2**-0.5], dtype=complex)
 
@@ -130,6 +131,11 @@ def test_matricize_cut_out_of_range():
         dematricize(np.zeros((2, 3)), (2, 2), 1)
 
 
+def test_dematricize_rejects_an_empty_shape():
+    with pytest.raises(EmptyShape, match="at least one axis"):
+        dematricize(np.ones((1, 1)), (), 1)
+
+
 def test_svd_diagonal():
     res = svd(np.diag([0.8, 0.6]).astype(complex))
     np.testing.assert_allclose(res.s, [0.8, 0.6])
@@ -231,6 +237,16 @@ def test_svd_takes_numpy_1_plain_tuples(monkeypatch):
     res = svd(m)
     u, s, vh = looped_gauge_svd(m)
     assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.vh, vh)
+
+
+def test_an_svd_lapack_cannot_converge_raises_convergence_failure(monkeypatch):
+    def failing_svd(a, full_matrices=True, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for compute_uv in (True, False):
+        with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
+            _lapack_svd(np.eye(2, dtype=complex), compute_uv)
 
 
 def test_svd_rejects_empty():
