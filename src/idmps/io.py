@@ -11,17 +11,21 @@ Two document kinds, both version 1:
 
 "form" holds the state's form tag ("mixed:<n>" carries the center),
 which ``idmps.mps`` owns: ``MatrixProductState.tag`` writes it and
-``parse_form_tag`` reads it. All floats go through Python's shortest
-round-trip repr via the json module, so write->read is bit-stable.
+``parse_form_tag`` reads it. Every float is written as repr spells it,
+with its shortest round-trip digits, so write->read is bit-stable.
 Every payload entry must be finite: NaN, infinities and numbers beyond
 the float range are rejected on load.
 
 The writers stream each document as one list of items: skeleton text
 with json.dump's key order and separators, and each [re, im] payload as
 chunks of ``_CHUNK`` pairs. A chunk's zeros share two strings and are
-never formatted; its nonzero floats go through one json.dumps call. The
-files are byte for byte what json.dump of the whole document writes,
-without ever building that document.
+never formatted. Its other floats go through one orjson.dumps call (Ryu's
+shortest digits, which are repr's), except those whose notation orjson
+spells otherwise (NaN, the infinities, 1e-9 <= |x| < 1e-4 and
+|x| >= 1e16), which go through one json.dumps call. The files are byte for
+byte what json.dump of the whole document writes, without ever building
+that document. orjson is imported when a codec first runs, not with the
+package.
 
 Both loaders first try one block reader, for the layout json.dump (and so
 the writers) emit. It reads the file by byte range (os.pread), never
@@ -31,17 +35,19 @@ into blocks of about ``_BLOCK`` bytes at "], [" boundaries and counts
 their pairs, a second parses them. A block with its number
 characters (0-9 . e E + -) deleted must read "[, ], " per counted pair,
 the last as "[, ]", which proves the pair structure; with its brackets
-deleted, json.loads parses the numbers, so json's own scanner decides
-what is a number and its value. All payloads fill one float array sized
-from the pairs counted, never from declared dimensions; each payload's
-array is a slice of it, which the tensor or the site adopts without a
-copy. The skeleton (the file with each payload replaced by NaN) goes
-through json.loads, whose parse_constant puts each payload's array in
-its place. It must hold no backslash, so no payload hides in a string,
-and it must be json.dumps's text of what it parsed to, so no other
-constant, repeated key or other spacing hides there. Any other file falls
-back to json.load, which also produces every error message; the documents
-of both paths go through the same checks.
+deleted, orjson.loads parses the numbers, and json.loads where orjson
+raises (a number past the float range, such as 1e400). Both take JSON's
+number grammar alone and round each number correctly, so every value is
+json.load's. All payloads fill one float array sized from the pairs
+counted, never from declared dimensions; each payload's array is a slice
+of it, which the tensor or the site adopts without a copy. The skeleton
+(the file with each payload replaced by NaN) goes through json.loads,
+whose parse_constant puts each payload's array in its place. It must
+hold no backslash, so no payload hides in a string, and it must be
+json.dumps's text of what it parsed to, so no other constant, repeated
+key or other spacing hides there. Any other file falls back to json.load,
+which also produces every error message; the documents of both paths go
+through the same checks.
 
 Both codecs split a document whose payloads hold at least 2 * ``_CHUNK``
 pairs in all into k runs of whole chunks (writer) or blocks (reader), k =
@@ -102,11 +108,21 @@ def _forked(parts: int, run) -> list[int]:
 def _texts(values: np.ndarray) -> list[str]:
     """json.dumps's text for each entry of the 1-D float array ``values``:
     a zero is one of two shared strings, picked by its sign bit; the
-    nonzero entries (NaN and the infinities too) take one json.dumps call."""
+    nonzero entries take one orjson.dumps call, whose shortest digits (Ryu)
+    are repr's, and those that repr spells otherwise take one json.dumps
+    call: NaN, the infinities, 1e-9 <= |x| < 1e-4 (repr's "1e-05", orjson's
+    "0.00001") and |x| >= 1e16 (repr's "1e+16", orjson's "1e16")."""
+    import orjson
+
     out = _ZEROS[np.signbit(values).view(np.uint8)]
     nonzero = np.flatnonzero(values)
-    if nonzero.size:
-        out[nonzero] = json.dumps(values[nonzero].tolist())[1:-1].split(", ")
+    magnitude = np.abs(values[nonzero])
+    plain = (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))  # False for NaN
+    fast, slow = nonzero[plain], nonzero[~plain]
+    if fast.size:
+        out[fast] = orjson.dumps(values[fast], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if slow.size:
+        out[slow] = json.dumps(values[slow].tolist())[1:-1].split(", ")
     return out.tolist()
 
 
@@ -139,6 +155,8 @@ def _write(fh, items: list) -> None:
     """Write a document's ``items`` (see ``_write_items``) in k runs of
     whole chunks, k = min(``_WORKERS``, pairs // ``_CHUNK``); each run after
     the first is formatted in a forked child into an anonymous file."""
+    import orjson  # noqa: F401  (before the fork, so no child imports it for _texts again)
+
     chunks = [n for n, item in enumerate(items) if not isinstance(item, str)]
     pairs = sum(min(2 * _CHUNK, items[n][0].size - items[n][1]) for n in chunks) // 2
     k = max(1, min(_WORKERS, pairs // _CHUNK))
@@ -180,6 +198,8 @@ def _read_blocks(path: str) -> dict | list | None:
     each payload is a complex array (not yet checked to be finite), parsed
     a block of pairs at a time without a list per entry; None for any other
     file, which the json.load path then reads or rejects."""
+    import orjson
+
     with open(path, "rb") as fh:
         fd, length = fh.fileno(), os.fstat(fh.fileno()).st_size
         # A payload runs from '"data": [' to the "]]" before the next "}", its blocks
@@ -214,7 +234,11 @@ def _read_blocks(path: str) -> dict | list | None:
                 # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
                 if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
                     raise ValueError("not the writers' pair layout")
-                out[filled : filled + 2 * pairs] = json.loads(b"[" + block.translate(None, b"[]") + b"]")
+                numbers = b"[" + block.translate(None, b"[]") + b"]"
+                try:
+                    out[filled : filled + 2 * pairs] = orjson.loads(numbers)
+                except orjson.JSONDecodeError:  # a number past the float range, say: json decides
+                    out[filled : filled + 2 * pairs] = json.loads(numbers)
 
         try:
             text = b"".join(skeleton).decode()

@@ -120,8 +120,11 @@ def _f_values(k_max: int, x) -> np.ndarray:
     """Orthonormal oscillator functions f_0..f_kmax at x, stacked on
     axis 0. Uses the normalized recurrence
     f_{k+1} = x sqrt(2/(k+1)) f_k - sqrt(k/(k+1)) f_{k-1},
-    which stays bounded where e^{-x^2/2} H_k would overflow."""
-    arr = np.asarray(x, dtype=float)
+    which stays bounded where e^{-x^2/2} H_k would overflow. From
+    |x| = 38.6 on, f_0 = pi^(-1/4) e^{-x^2/2} rounds to 0 and so does every
+    f_k the recurrence gives, so clipping x at 39 changes no value and
+    keeps x^2 finite."""
+    arr = np.clip(np.asarray(x, dtype=float), -39.0, 39.0)
     out = np.empty((k_max + 1,) + arr.shape, dtype=float)
     out[0] = pi ** -0.25 * np.exp(-(arr**2) / 2.0)
     if k_max >= 1:
@@ -365,11 +368,19 @@ def build_bundle(params: OscillatorParams) -> OscillatorMpsBundle:
     return OscillatorMpsBundle(a1=a1, a3=a3, mps=mps, params=params)
 
 
+def _point(x1: float, x2: float, x3: float) -> np.ndarray:
+    """The point (x1, x2, x3) as an array; a coordinate that is not finite is a ValueError."""
+    point = np.array([x1, x2, x3], dtype=float)
+    if not np.isfinite(point).all():
+        raise ValueError(f"the point must be finite, got {(x1, x2, x3)}")
+    return point
+
+
 def wavefunction_mps(bundle: OscillatorMpsBundle, x1: float, x2: float, x3: float) -> float:
     """Evaluate the assembled MPS against the basis functions at one point: each block of its
     folded chain (stored bond weights count) is contracted with its site's basis values, and
     ``_products`` multiplies the three matrices out."""
-    fs = _f_values(bundle.params.phys_cutoff - 1, np.array([x1, x2, x3], dtype=float))
+    fs = _f_values(bundle.params.phys_cutoff - 1, _point(x1, x2, x3))
     blocks = map(lambda f, g: np.tensordot(f, g, axes=1)[None], fs.T, bundle.mps._chain)
     return float(_products(blocks, np.inf)[0][0, 0].real)
 
@@ -390,7 +401,8 @@ def wavefunction_direct(
     """
     n, w = params.n, params.omega_tilde
     u1, u2, u3 = direction_cosines(params)
-    p1, p2, p3 = (_scaled_f(n, x, w) for x in (x1, x2, x3))
+    # As Python floats, sqrt(w) * x rounds to inf without a warning, and _f_values clips it.
+    p1, p2, p3 = (_scaled_f(n, x, w) for x in _point(x1, x2, x3).tolist())
     # (outer, first inner, last inner) modes: the Schmidt sum runs over
     # the outer mode's occupation, the inner sum over the first mode's.
     if route == "alpha":

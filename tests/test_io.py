@@ -13,6 +13,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,33 @@ def test_write_complex_is_json_dumps_for_repeated_and_special_values(
         save_mps(str(path), MatrixProductState(sites=(site, site)))
         for back in load_mps(str(path)).sites:
             assert back.data.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+MAX = 1.7976931348623157e308
+# Where repr's notation and orjson's part: each edge and its two neighbours, of either sign.
+EDGES = [v for edge in (1e-9, 1e-4, 1e16) for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, np.nan, np.inf, -np.inf]
+any_bits = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 1, _CHUNK - 1, _CHUNK + 1]),
+    st.lists(
+        st.one_of(any_bits, st.sampled_from(EDGES).map(float), st.sampled_from(EDGES).map(float.__neg__),
+                  st.sampled_from(SPECIALS)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_texts_spell_each_entry_as_json_dumps(length, pool, seed):
+    """Each entry's text, orjson's or json's, is json.dumps's: a chunk mixes
+    the drawn values with raw 64-bit patterns from the seed."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**64, size=length, dtype=np.uint64).view(np.float64)
+    values = np.where(rng.random(length) < 0.5, rng.choice(np.array(pool), size=length), raw)
+    assert idmps.io._texts(values) == list(map(json.dumps, values.tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -611,11 +639,12 @@ def test_split_reader_bad_token_in_a_child_range(tmp_path):
 
 def test_split_codec_survives_failed_children(tmp_path, capfd):
     """Every child raises: the writer formats the children's runs itself,
-    so its bytes are unchanged; the reader returns None, and load_tensor
-    reads the file through json.load. No child is left unreaped and no
-    child prints anything."""
+    so its bytes are unchanged; the reader returns None (its children's
+    orjson and json parses both fail), and load_tensor reads the file
+    through json.load. No child is left unreaped and no child prints
+    anything."""
     parent = os.getpid()
-    texts, loads = idmps.io._texts, json.loads
+    texts, loads, fast_loads = idmps.io._texts, json.loads, orjson.loads
 
     def child_fails(original):
         def wrapped(*args, **kwargs):
@@ -630,7 +659,9 @@ def test_split_codec_survives_failed_children(tmp_path, capfd):
     path = tmp_path / "t.json"
     with mock.patch.object(idmps.io, "_WORKERS", 2), mock.patch.object(
         idmps.io, "_texts", child_fails(texts)
-    ), mock.patch.object(idmps.io.json, "loads", child_fails(loads)):
+    ), mock.patch.object(idmps.io.json, "loads", child_fails(loads)), mock.patch.object(
+        orjson, "loads", child_fails(fast_loads)
+    ):
         save_tensor(str(path), tensor_new((length,), data))
         assert idmps.io._read_blocks(str(path)) is None
         back = load_tensor(str(path)).data

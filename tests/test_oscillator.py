@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,24 @@ def test_wavefunction_routes_agree():
         assert wg == pytest.approx(wa, abs=1e-12)
     with pytest.raises(ValueError):
         wavefunction_direct(p, 0, 0, 0, route="beta")
+
+
+@pytest.mark.parametrize("far", [39.0, 1e200, -1.7976931348623157e308])
+def test_wavefunctions_vanish_at_a_far_point_and_reject_a_non_finite_one(far):
+    """A finite point past the Gaussian's reach gives 0.0 with no numpy warning
+    (x^2 would overflow); an infinite or NaN coordinate is a ValueError."""
+    p = OscillatorParams(n=2, omega_tilde=1.3, theta=0.4, phi=0.5, varphi=0.6, phys_cutoff=12)
+    b = build_bundle(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in [(far, 0.1, 0.2), (0.3, far, 0.2), (0.3, 0.1, far)]:
+            assert wavefunction_mps(b, *point) == 0.0
+            assert wavefunction_direct(p, *point) == 0.0
+            assert wavefunction_direct(p, *point, route="gamma") == 0.0
+        for bad in (np.inf, -np.inf, np.nan):
+            for call in (lambda: wavefunction_mps(b, 0.3, bad, 0.2), lambda: wavefunction_direct(p, 0.3, bad, 0.2)):
+                with pytest.raises(ValueError, match="finite"):
+                    call()
 
 
 def test_wavefunction_mps_matches_direct_at_unit_frequency():

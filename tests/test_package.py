@@ -1,7 +1,12 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import idmps
 
@@ -13,6 +18,20 @@ def test_all_names_resolve_and_exclude_modules():
     for name in idmps.__all__:
         value = getattr(idmps, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+@pytest.mark.parametrize("argv", [["-c", "import idmps"], ["-m", "idmps.cli", "--help"]])
+def test_import_and_help_leave_orjson_unimported(argv):
+    """Only the file codec needs orjson, so the package's import and the CLI's
+    help (a fresh process's start-up) never load it: -X importtime lists
+    every module a fresh interpreter imports."""
+    package_root = str(Path(idmps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "idmps.io" in imported
+    assert not {name for name in imported if name.split(".")[0] == "orjson"}
 
 
 def test_readme_api_example_runs(capsys):
