@@ -48,25 +48,12 @@ json.dumps's text of what it parsed to, so no other constant, repeated
 key or other spacing hides there. Any other file falls back to json.load,
 which also produces every error message; the documents of both paths go
 through the same checks.
-
-Both codecs split a document whose payloads hold at least 2 * ``_CHUNK``
-pairs in all into k runs of whole chunks (writer) or blocks (reader), k =
-min(``_WORKERS``, pairs // ``_CHUNK``), where ``_WORKERS`` is the size of
-the process's CPU affinity set if os.fork exists (Linux) and 1 elsewhere;
-a run may span site boundaries. ``_forked`` does run 0 in the caller and
-each other run in a forked child. Writer children format into anonymous
-files, which the caller copies in order; it formats a failed child's run
-itself, so the bytes never depend on a child. Each reader child reads its
-own byte ranges and fills slices of one shared anonymous mapping; a
-failed child, like a bad block, sends the file to the json.load path.
 """
 
 import json
 import math
-import mmap
 import os
-import shutil
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -77,32 +64,11 @@ from .tensor import DenseTensor
 
 FILE_VERSION = 1
 
-# Pairs per chunk of a payload, rows per chunk of a CSV: a few C-level
-# passes each, and no string or list of a whole payload is ever built.
-_CHUNK = 1 << 14
+# Pairs per chunk of a written payload: a few C-level passes each, and no
+# string or list of a whole payload is ever built.
+_CHUNK = 1 << 12
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-
-
-def _forked(parts: int, run) -> list[int]:
-    """Call ``run(i)`` for each i < ``parts``: part 0 here, the others in
-    forked children. Returns each child's wait status, nonzero if it raised."""
-    pids = []
-    try:
-        for i in range(1, parts):
-            pids.append(os.fork())
-            if pids[-1] == 0:  # never return into the caller's stack nor flush its buffers
-                try:
-                    run(i)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-        run(0)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    return statuses
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -133,10 +99,9 @@ def _pair_items(data: np.ndarray) -> list:
     return ["[", *((flat, start) for start in range(0, len(flat), 2 * _CHUNK)), "]"]
 
 
-def _write_items(fh, items: list) -> None:
-    """Write ``items`` in order, then flush: a forked child leaves without
-    flushing. A string is written as it is, a (flat, start) item as the
-    pairs of its chunk."""
+def _write(fh, items: list) -> None:
+    """Write a document's ``items`` in order: a string as it is, a
+    (flat, start) item of ``_pair_items`` as the pairs of its chunk."""
     for item in items:
         if isinstance(item, str):
             fh.write(item)
@@ -148,29 +113,6 @@ def _write_items(fh, items: list) -> None:
         parts[-1] = "]"
         fh.write(", [" if start else "[")
         fh.write("".join(parts))
-    fh.flush()
-
-
-def _write(fh, items: list) -> None:
-    """Write a document's ``items`` (see ``_write_items``) in k runs of
-    whole chunks, k = min(``_WORKERS``, pairs // ``_CHUNK``); each run after
-    the first is formatted in a forked child into an anonymous file."""
-    import orjson  # noqa: F401  (before the fork, so no child imports it for _texts again)
-
-    chunks = [n for n, item in enumerate(items) if not isinstance(item, str)]
-    pairs = sum(min(2 * _CHUNK, items[n][0].size - items[n][1]) for n in chunks) // 2
-    k = max(1, min(_WORKERS, pairs // _CHUNK))
-    cuts = [0, *(chunks[i * len(chunks) // k] for i in range(1, k)), len(items)]
-    runs = [items[a:b] for a, b in zip(cuts, cuts[1:])]
-    with ExitStack() as stack:
-        files = [fh] + [stack.enter_context(open(os.memfd_create("idmps"), "w+")) for _ in runs[1:]]
-        statuses = _forked(k, lambda i: _write_items(files[i], runs[i]))
-        for run, out, status in zip(runs[1:], files[1:], statuses):
-            if status:  # the child failed: format its run here
-                _write_items(fh, run)
-            else:
-                out.seek(0)
-                shutil.copyfileobj(out, fh)
 
 
 # What JSON may spell a number with; no JSON value but a number is made
@@ -224,22 +166,8 @@ def _read_blocks(path: str) -> dict | list | None:
         if not payloads:
             return None
         skeleton.append(os.pread(fd, length - pos, pos))
-        k = max(1, min(_WORKERS, size // (2 * _CHUNK)))
-        out = np.frombuffer(mmap.mmap(-1, 8 * size), float) if k > 1 else np.empty(size)
+        out = np.empty(size)
         arrays = iter([out[a:b].view(complex) for a, b in payloads])
-
-        def run(i: int) -> None:
-            for pos, cut, filled, pairs in blocks[i * len(blocks) // k : (i + 1) * len(blocks) // k]:
-                block = os.pread(fd, cut - pos, pos)
-                # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
-                if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
-                    raise ValueError("not the writers' pair layout")
-                numbers = b"[" + block.translate(None, b"[]") + b"]"
-                try:
-                    out[filled : filled + 2 * pairs] = orjson.loads(numbers)
-                except orjson.JSONDecodeError:  # a number past the float range, say: json decides
-                    out[filled : filled + 2 * pairs] = json.loads(numbers)
-
         try:
             text = b"".join(skeleton).decode()
             if "\\" in text:
@@ -248,8 +176,18 @@ def _read_blocks(path: str) -> dict | list | None:
             # turn. As json.dumps's text of what it parsed to, the skeleton hides no
             # other constant, repeated key or other spacing.
             doc = json.loads(text, parse_constant=lambda name: next(arrays, None))
-            if json.dumps(doc, default=lambda array: math.nan) != text.removesuffix("\n") or any(_forked(k, run)):
+            if json.dumps(doc, default=lambda array: math.nan) != text.removesuffix("\n"):
                 return None
+            for pos, cut, filled, pairs in blocks:
+                block = os.pread(fd, cut - pos, pos)
+                # With its numbers deleted, it must read "[, ], " * (pairs - 1) + "[, ]".
+                if block.translate(None, _NUMBER_BYTES) != b"[, ], " * (pairs - 1) + b"[, ]":
+                    return None
+                numbers = b"[" + block.translate(None, b"[]") + b"]"
+                try:
+                    out[filled : filled + 2 * pairs] = orjson.loads(numbers)
+                except orjson.JSONDecodeError:  # a number past the float range, say: json decides
+                    out[filled : filled + 2 * pairs] = json.loads(numbers)
         except (ValueError, OverflowError, RecursionError):
             # A token json rejects, an int beyond the float range, or nesting too deep.
             return None

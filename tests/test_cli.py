@@ -472,9 +472,9 @@ def test_size_cap_exit_1_before_allocating(tmp_path, capsys, case):
 
 
 def _reconstruct_with_reference(tmp_path, capsys):
-    """reconstruct --reference of an 18-site chain (a 4 MiB tensor) on one
-    CPU, the writer patched out (test_io bounds its chunks): the outcome
-    and the traced peak."""
+    """reconstruct --reference of an 18-site chain (a 4 MiB tensor), the
+    writer patched out (test_io bounds its chunks): the outcome and the
+    traced peak."""
     rng = np.random.default_rng(15)
     dims = [1] + [2] * 17 + [1]
     m = MatrixProductState(sites=tuple(
@@ -484,7 +484,7 @@ def _reconstruct_with_reference(tmp_path, capsys):
     src, ref = tmp_path / "m.json", tmp_path / "ref.json"
     save_mps(str(src), m)
     save_tensor(str(ref), to_dense(m))
-    with mock.patch.object(idmps.io, "_WORKERS", 1), mock.patch("idmps.cli.save_tensor"):
+    with mock.patch("idmps.cli.save_tensor"):
         return _traced(
             capsys, "reconstruct", str(src), "--out", str(tmp_path / "t.json"), "--reference", str(ref)
         )
@@ -584,10 +584,9 @@ def test_reconstruct_reports_norm_and_residual_at_any_scale(tmp_path, scale):
 
 
 def test_reconstruct_of_a_split_payload_prints_nothing_to_stderr(tmp_path):
-    # 2^16 entries: the written tensor and the reference are each split
-    # across the process's CPUs, with numpy (and its BLAS threads) loaded.
-    # Python 3.12+ would warn on stderr about fork() in a threaded process
-    # if the warning reached it.
+    # 2^16 entries: the written tensor and the reference each span many
+    # chunks and several blocks, read and written with numpy (and its BLAS
+    # threads) loaded. Nothing, such as a warning, may reach stderr.
     rng = np.random.default_rng(12)
     shape = (2,) * 16
     assert np.prod(shape) >= 2 * _CHUNK

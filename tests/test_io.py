@@ -1,19 +1,17 @@
 """File formats: the streamed writers against json.dump of the whole
 document and their peak memory, the block reader of tensor and MPS files
-against the json.load path and its peak memory, both split across forked
-processes, rejection of malformed or non-finite payloads, and the
+against the json.load path and its peak memory, both across chunk and
+block edges, rejection of malformed or non-finite payloads, and the
 oscillator CSV against csv.writer."""
 
 import csv
 import filecmp
 import io
 import json
-import os
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +37,9 @@ import idmps.io
 from idmps.cli import _write_decay_csv, main
 from idmps.io import _CHUNK, _pair_items, _write
 
-LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+# Pair counts at chunk edges: one pair, a chunk boundary a few chunks in
+# (one pair short of it, on it, one pair past it) and a ragged count.
+LENGTHS = [1, 4 * _CHUNK - 1, 4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 3]
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
@@ -75,7 +75,7 @@ def test_write_complex_matches_json_dump(length):
 
 
 @pytest.mark.parametrize(
-    "length,real", [(length, False) for length in LENGTHS] + [(1, True), (_CHUNK + 1, True)]
+    "length,real", [(length, False) for length in LENGTHS] + [(1, True), (4 * _CHUNK + 1, True)]
 )
 def test_save_tensor_matches_json_dump(tmp_path, length, real):
     t = tensor_new((length,), _payload(length, real, seed=length))
@@ -124,7 +124,7 @@ def _mps_document(m: MatrixProductState) -> dict:
 
 MPS_CASES = [(length, "vidal", False) for length in LENGTHS] + [
     (length, bonds, real)
-    for length in (1, _CHUNK + 1)
+    for length in (1, 4 * _CHUNK + 1)
     for bonds in ("null", "mixed")
     for real in (False, True)
 ]
@@ -482,29 +482,27 @@ def test_block_reader_peak_memory(tmp_path):
 
 
 def test_load_tensor_peak_is_the_tensor_and_one_block(tmp_path):
-    """In one process, load_tensor of a 2^16-entry file (3.2 MB) holds the
-    1 MiB array it fills and adopts, plus one block's working set: the
-    block's bytes, their copies and its list of floats. The file is read
-    by byte range, never whole."""
+    """load_tensor of a 2^16-entry file (3.2 MB) holds the 1 MiB array it
+    fills and adopts, plus one block's working set: the block's bytes,
+    their copies and its list of floats. The file is read by byte range,
+    never whole."""
     n = 1 << 16
     rng = np.random.default_rng(13)
     path = tmp_path / "t.json"
     save_tensor(str(path), tensor_new((n,), rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    with mock.patch.object(idmps.io, "_WORKERS", 1):
-        tracemalloc.start()
-        try:
-            t = load_tensor(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        t = load_tensor(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= t.data.nbytes + 5 * idmps.io._BLOCK, peak
 
 
 def test_load_mps_peak_is_the_state_and_one_block(tmp_path):
-    """In one process, load_mps of a 147,520-entry state (2.25 MiB in a
-    7 MB file) holds the one array its sites adopt as slices, plus one
-    block's working set; a copy of the sites, or json.load's lists, would
-    exceed it."""
+    """load_mps of a 147,520-entry state (2.25 MiB in a 7 MB file) holds
+    the one array its sites adopt as slices, plus one block's working set;
+    a copy of the sites, or json.load's lists, would exceed it."""
     rng = np.random.default_rng(17)
     dims = [1, 16, 256, 256, 16, 1]
     m = MatrixProductState(sites=tuple(
@@ -513,9 +511,7 @@ def test_load_mps_peak_is_the_state_and_one_block(tmp_path):
     ))
     path = tmp_path / "m.json"
     save_mps(str(path), m)
-    with mock.patch.object(idmps.io, "_WORKERS", 1), mock.patch(
-        "json.load", side_effect=AssertionError("the json.load path ran")
-    ):
+    with mock.patch("json.load", side_effect=AssertionError("the json.load path ran")):
         tracemalloc.start()
         try:
             back = load_mps(str(path))
@@ -549,9 +545,9 @@ def test_save_mps_peak_memory_does_not_grow_with_the_payload(tmp_path):
     assert peak <= 3 << 20
 
 
-# Pair counts at the split's edges: under two whole chunks the payload is
-# never split, and an odd count several chunks long leaves ragged runs.
-SPLIT_LENGTHS = [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 5 * _CHUNK + 7]
+# Pair counts at chunk edges several chunks in, each payload cut into
+# several blocks by the reader, and a ragged count longer still.
+SPLIT_LENGTHS = [8 * _CHUNK - 1, 8 * _CHUNK, 8 * _CHUNK + 1, 20 * _CHUNK + 7]
 # Negative zero, subnormals, "1e-05"-style exponents and the far ends of
 # the float range, each formatted differently by repr.
 SPLIT_SPECIALS = [-0.0, 0.0, 5e-324, -2.5e-320, 1e-05, -3.5e-07, 1e22, 1e300, -1e300, 1.5]
@@ -566,110 +562,59 @@ def _split_payload(length: int) -> np.ndarray:
     return flat.view(complex)
 
 
-def _parts(length: int, workers: int) -> int:
-    return max(1, min(workers, length // _CHUNK))
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("length", SPLIT_LENGTHS)
-def test_split_codec_is_exact(tmp_path, length, workers):
-    """With the payload split across 1, 2 or 3 processes, the written file
-    is json.dump's, byte for byte, and the block reader itself (not the
+def test_split_codec_is_exact(tmp_path, length):
+    """With the specials strewn across its chunks, the written file is
+    json.dump's, byte for byte, and the block reader itself (not the
     json.load fallback) gives json.load's values bit for bit."""
     data = _split_payload(length)
     path, reference = tmp_path / "t.json", tmp_path / "ref.json"
     with open(reference, "w") as fh:
         json.dump({"version": 1, "shape": [length], "data": _pairs(data)}, fh)
         fh.write("\n")
-    with mock.patch.object(idmps.io, "_WORKERS", workers), mock.patch.object(
-        idmps.io.os, "fork", wraps=idmps.io.os.fork
-    ) as fork:
-        save_tensor(str(path), tensor_new((length,), data))
-        assert fork.call_count == _parts(length, workers) - 1
-        assert filecmp.cmp(path, reference, shallow=False)
-        fast = idmps.io._read_blocks(str(reference))
-        assert fork.call_count == 2 * (_parts(length, workers) - 1)
+    save_tensor(str(path), tensor_new((length,), data))
+    assert filecmp.cmp(path, reference, shallow=False)
+    fast = idmps.io._read_blocks(str(reference))
     with open(reference) as fh:
         expected = np.array(json.load(fh)["data"], dtype=float).reshape(-1)
     assert fast is not None and fast["shape"] == [length]
     assert fast["data"].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_split_mps_codec_is_exact(tmp_path, workers):
-    """Sites of 2 * _CHUNK + 5, _CHUNK + 3 and 7 pairs make six chunks. Two
-    runs split between the first and second sites, three inside each of
-    them. Either way the written file is json.dump's, byte for byte, and
-    the block reader, split the same way, gives json.load's values bit for
-    bit."""
-    sites = tuple(SiteTensor(n, 1, 1, _split_payload(n)) for n in (2 * _CHUNK + 5, _CHUNK + 3, 7))
+def test_split_mps_codec_is_exact(tmp_path):
+    """Sites of 8 * _CHUNK + 5, 4 * _CHUNK + 3 and 7 pairs, each ending in a
+    partial chunk: the written file is json.dump's, byte for byte, and the
+    block reader, whose one array the three sites share as slices, gives
+    json.load's values bit for bit."""
+    sites = tuple(SiteTensor(n, 1, 1, _split_payload(n)) for n in (8 * _CHUNK + 5, 4 * _CHUNK + 3, 7))
     m = MatrixProductState(sites=sites)
     path = tmp_path / "m.json"
-    parts = min(workers, 3)
-    with mock.patch.object(idmps.io, "_WORKERS", workers), mock.patch.object(
-        idmps.io.os, "fork", wraps=idmps.io.os.fork
-    ) as fork:
-        save_mps(str(path), m)
-        assert fork.call_count == parts - 1
-        assert path.read_text() == _dumped(_mps_document(m))
+    save_mps(str(path), m)
+    assert path.read_text() == _dumped(_mps_document(m))
+    with mock.patch("json.load", side_effect=AssertionError("the json.load path ran")):
         got = _mps_outcome(str(path))
-        assert fork.call_count == 2 * (parts - 1)
     with mock.patch.object(idmps.io, "_read_blocks", return_value=None):
         assert got == _mps_outcome(str(path))
     assert [bits for *_, bits in got[1]] == [s.data.view(np.uint64).tolist() for s in sites]
 
 
-def test_split_reader_bad_token_in_a_child_range(tmp_path):
-    """A bad token in the second of two ranges fails the child that reads
-    it; the file then takes the json.load path, which names the error."""
-    length = 3 * _CHUNK
+def test_reader_bad_token_in_a_later_block(tmp_path):
+    """A bad token past the payload's first block fails the block reader
+    after it has parsed the blocks before it; the file then takes the
+    json.load path, which names the error."""
+    length = 12 * _CHUNK
     path = tmp_path / "t.json"
     save_tensor(str(path), tensor_new((length,), _split_payload(length)))
     text = path.read_text()
     at = text.index("], [", int(len(text) * 0.8)) + 4
+    assert at > text.index('"data": [[') + idmps.io._BLOCK
     path.write_text(text[:at] + "1.0.0" + text[text.index(",", at) :])
     with open(path) as fh, pytest.raises(json.JSONDecodeError) as decode:
         json.load(fh)
-    with mock.patch.object(idmps.io, "_WORKERS", 2):
-        assert idmps.io._read_blocks(str(path)) is None
-        with pytest.raises(FileFormatError) as exc:
-            load_tensor(str(path))
+    assert idmps.io._read_blocks(str(path)) is None
+    with pytest.raises(FileFormatError) as exc:
+        load_tensor(str(path))
     assert str(exc.value) == f"tensor file {str(path)!r}: invalid JSON ({decode.value})"
-
-
-def test_split_codec_survives_failed_children(tmp_path, capfd):
-    """Every child raises: the writer formats the children's runs itself,
-    so its bytes are unchanged; the reader returns None (its children's
-    orjson and json parses both fail), and load_tensor reads the file
-    through json.load. No child is left unreaped and no child prints
-    anything."""
-    parent = os.getpid()
-    texts, loads, fast_loads = idmps.io._texts, json.loads, orjson.loads
-
-    def child_fails(original):
-        def wrapped(*args, **kwargs):
-            if os.getpid() != parent:
-                raise RuntimeError("a failing child")
-            return original(*args, **kwargs)
-
-        return wrapped
-
-    length = 2 * _CHUNK + 1
-    data = _split_payload(length)
-    path = tmp_path / "t.json"
-    with mock.patch.object(idmps.io, "_WORKERS", 2), mock.patch.object(
-        idmps.io, "_texts", child_fails(texts)
-    ), mock.patch.object(idmps.io.json, "loads", child_fails(loads)), mock.patch.object(
-        orjson, "loads", child_fails(fast_loads)
-    ):
-        save_tensor(str(path), tensor_new((length,), data))
-        assert idmps.io._read_blocks(str(path)) is None
-        back = load_tensor(str(path)).data
-    assert path.read_text() == _dumped({"version": 1, "shape": [length], "data": _pairs(data)})
-    assert back.view(np.uint64).tolist() == data.view(np.uint64).tolist()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert capfd.readouterr() == ("", "")
 
 
 def _write_tensor_doc(path, data) -> str:
@@ -740,11 +685,11 @@ OSCILLATORS = [
 ]
 
 
-# n=12, d=200: 91 A2 lanes give 18200 rows, more than one writer chunk.
-SPANS_CHUNKS = dict(n=12, omega_tilde=1.1, theta=0.3, phi=1.9, varphi=0.6, phys_cutoff=200)
+# n=12, d=200: 91 A2 lanes give 18200 rows.
+MANY_ROWS = dict(n=12, omega_tilde=1.1, theta=0.3, phi=1.9, varphi=0.6, phys_cutoff=200)
 
 
-@pytest.mark.parametrize("kw", [*OSCILLATORS, SPANS_CHUNKS])
+@pytest.mark.parametrize("kw", [*OSCILLATORS, MANY_ROWS])
 def test_oscillator_csv_matches_csv_writer(tmp_path, capsys, kw):
     out_csv = tmp_path / "osc.csv"
     argv = ["oscillator", "--n", str(kw["n"]), "--omega-tilde", repr(kw["omega_tilde"]),
