@@ -1,53 +1,20 @@
-"""JSON file formats for dense tensors and matrix product states.
+"""JSON files for dense tensors and matrix product states; the README's
+"File formats" section gives the layout and the codec in full.
 
-Two document kinds, both version 1:
+Two document kinds, both version 1: a tensor file {"version", "shape",
+"data"} and an MPS file {"version", "form", "sites", "bonds"}, whose sites
+are {"phys_dim", "left_dim", "right_dim", "data"} and whose "bonds" is null
+or one weight list (or null) per bond. Each "data" is a payload of [re, im]
+pairs in row-major order. "form" is the state's form tag, which
+``idmps.mps`` owns: ``MatrixProductState.tag`` writes it and
+``parse_form_tag`` reads it.
 
-* tensor files: {"version": 1, "shape": [...], "data": [[re, im], ...]}
-  with row-major data;
-* MPS files: {"version": 1, "form": "...", "sites": [...], "bonds": ...}
-  where each site is {"phys_dim", "left_dim", "right_dim", "data"} with
-  the same [re, im] encoding in the site's flat order, and "bonds" is
-  null or a list (one entry per bond) of weight lists / nulls.
-
-"form" holds the state's form tag ("mixed:<n>" carries the center),
-which ``idmps.mps`` owns: ``MatrixProductState.tag`` writes it and
-``parse_form_tag`` reads it. Every float is written as repr spells it,
-with its shortest round-trip digits, so write->read is bit-stable.
-Every payload entry must be finite: NaN, infinities and numbers beyond
-the float range are rejected on load.
-
-The writers stream each document as one list of items: skeleton text
-with json.dump's key order and separators, and each [re, im] payload as
-chunks of ``_CHUNK`` pairs. A chunk's zeros share two strings and are
-never formatted. Its other floats go through one orjson.dumps call (Ryu's
-shortest digits, which are repr's), except those whose notation orjson
-spells otherwise (NaN, the infinities, 1e-9 <= |x| < 1e-4 and
-|x| >= 1e16), which go through one json.dumps call. The files are byte for
-byte what json.dump of the whole document writes, without ever building
-that document. orjson is imported when a codec first runs, not with the
-package.
-
-Both loaders first try one block reader, for the layout json.dump (and so
-the writers) emit. It reads the file by byte range (os.pread), never
-whole. A payload runs from '"data": [[' to the "]]" just before the next
-"}" (so "data" is its object's last key). One pass cuts every payload
-into blocks of about ``_BLOCK`` bytes at "], [" boundaries and counts
-their pairs, a second parses them. A block with its number
-characters (0-9 . e E + -) deleted must read "[, ], " per counted pair,
-the last as "[, ]", which proves the pair structure; with its brackets
-deleted, orjson.loads parses the numbers, and json.loads where orjson
-raises (a number past the float range, such as 1e400). Both take JSON's
-number grammar alone and round each number correctly, so every value is
-json.load's. All payloads fill one float array sized from the pairs
-counted, never from declared dimensions; each payload's array is a slice
-of it, which the tensor or the site adopts without a copy. The skeleton
-(the file with each payload replaced by NaN) goes through json.loads,
-whose parse_constant puts each payload's array in its place. It must
-hold no backslash, so no payload hides in a string, and it must be
-json.dumps's text of what it parsed to, so no other constant, repeated
-key or other spacing hides there. Any other file falls back to json.load,
-which also produces every error message; the documents of both paths go
-through the same checks.
+The writers emit byte for byte what json.dump of the whole document writes,
+without ever building that document. A payload entry that is not finite
+(NaN, an infinity, a number beyond the float range) is rejected on load.
+Both loaders first try the block reader (``_read_blocks``). It takes only
+the writers' layout, and gives json.load's values bit for bit; every other
+file goes to json.load, which also writes every error message.
 """
 
 import json
@@ -92,27 +59,18 @@ def _texts(values: np.ndarray) -> list[str]:
     return out.tolist()
 
 
-def _pair_items(data: np.ndarray) -> list:
-    """The writer's items for ``data`` as the JSON list [[re, im], ...]: its
-    brackets and, per chunk, the flat float view and the chunk's offset in it."""
+def _write_pairs(fh, data: np.ndarray) -> None:
+    """Write ``data`` as the JSON list [[re, im], ...], ``_CHUNK`` pairs at a time."""
     flat = np.ascontiguousarray(data, dtype=complex).reshape(-1).view(float)
-    return ["[", *((flat, start) for start in range(0, len(flat), 2 * _CHUNK)), "]"]
-
-
-def _write(fh, items: list) -> None:
-    """Write a document's ``items`` in order: a string as it is, a
-    (flat, start) item of ``_pair_items`` as the pairs of its chunk."""
-    for item in items:
-        if isinstance(item, str):
-            fh.write(item)
-            continue
-        flat, start = item
+    fh.write("[")
+    for start in range(0, len(flat), 2 * _CHUNK):
         texts = _texts(flat[start : start + 2 * _CHUNK])
         parts = [None, ", ", None, "], ["] * (len(texts) // 2)
         parts[0::2] = texts
         parts[-1] = "]"
         fh.write(", [" if start else "[")
         fh.write("".join(parts))
+    fh.write("]")
 
 
 # What JSON may spell a number with; no JSON value but a number is made
@@ -243,8 +201,9 @@ def _load_document(path: str, kind: str) -> dict:
 
 def save_tensor(path: str, t: DenseTensor) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = f'{{"version": {FILE_VERSION}, "shape": {json.dumps(list(t.shape))}, "data": '
-        _write(fh, [header, *_pair_items(t.data), "}\n"])
+        fh.write(f'{{"version": {FILE_VERSION}, "shape": {json.dumps(list(t.shape))}, "data": ')
+        _write_pairs(fh, t.data)
+        fh.write("}\n")
 
 
 def load_tensor(path: str) -> DenseTensor:
@@ -259,14 +218,15 @@ def load_tensor(path: str) -> DenseTensor:
 
 
 def save_mps(path: str, m: MatrixProductState) -> None:
-    items = [f'{{"version": {FILE_VERSION}, "form": {json.dumps(m.tag)}, "sites": [']
-    for n, s in enumerate(m.sites):
-        items += [f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
-                  f'"right_dim": {s.right_dim}, "data": ', *_pair_items(s.data), "}"]
     bonds = None if m.bonds is None else [None if b is None else b.values.tolist() for b in m.bonds]
-    items.append(f'], "bonds": {json.dumps(bonds)}}}\n')
     with open(path, "w", encoding="utf-8") as fh:
-        _write(fh, items)
+        fh.write(f'{{"version": {FILE_VERSION}, "form": {json.dumps(m.tag)}, "sites": [')
+        for n, s in enumerate(m.sites):
+            fh.write(f'{", " if n else ""}{{"phys_dim": {s.phys_dim}, "left_dim": {s.left_dim}, '
+                     f'"right_dim": {s.right_dim}, "data": ')
+            _write_pairs(fh, s.data)
+            fh.write("}")
+        fh.write(f'], "bonds": {json.dumps(bonds)}}}\n')
 
 
 # The two decoders check only what the constructors leave to their callers: that

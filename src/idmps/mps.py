@@ -1,54 +1,22 @@
-"""Matrix product states over open boundary chains.
+"""Matrix product states over open boundary chains; the README's opening
+section gives the method in full.
 
-A state tensor c_{k1..kN} is represented by N three-index site tensors
-M^{(k_n)}_{a_{n-1}, a_n} (bond index 0 of size 1 at both ends) with
-optional per-bond weight vectors. Four constructions are provided:
+A state c_{k1..kN} is N site tensors M^{(k_n)}_{a_{n-1}, a_n} (phys, left,
+right), with bond dimension 1 at both ends, and optional per-bond weight
+vectors. This module owns the form tag (left, right, ``mixed:<center>``,
+vidal or unknown): ``MatrixProductState.tag`` writes it, ``parse_form_tag``
+reads it for the CLI's ``--form`` and for MPS files, and ``verify`` checks
+the gauge it claims.
 
-* right-canonical: sites 2..N right-normalized, site 1 carries weights;
-* left-canonical: sites 1..N-1 left-normalized, site N carries weights;
-* mixed-canonical: left-normalized through a center site, a diagonal
-  weight vector at the center bond, right-normalized after;
-* canonical (Vidal): weight-free site tensors alternating with bond
-  weight vectors such that every bond's weights are that bipartition's
-  Schmidt coefficients.
+``decompose`` builds every form from one left-to-right SVD sweep over the
+dense data (TT-SVD, which gives the left form) and then site sweeps; a right
+sweep is a left sweep over the mirrored chain (``_mirror``). One rule,
+``_cut``, decides and records every cut of every sweep, and the records'
+discarded weights add in quadrature to the distance from the input.
 
-``decompose`` builds all four from one left-to-right SVD sweep over the
-dense data (TT-SVD), which is the left-canonical form. The others come
-from a right sweep, the one site sweep with the same SVD step run over
-the mirrored chain, which moves the weight back: the right form after a
-full right sweep, the mixed form after the steps down to its center, the
-Vidal form after a full right sweep that records every bond's weights.
-One rule (``_cut``) decides every cut of every sweep, the rank cut
-included, and returns its record (``CutDiagnostics``): the singular
-values the SVD found there above the rank cut, how many the policy kept,
-and the weight of every value dropped; ``decompose`` returns the dense
-sweep's records, whose discarded weights add in quadrature to the
-distance between the input and the returned state. The right sweeps
-only move the gauge, so they cut numerical zeros alone. Truncation, of
-any form, runs the site sweep with that step after a right sweep with a
-QR step. A state keeps read-only copies of its arrays, so it also keeps
-what its queries derive, built on first use: the chain with its stored
-weights folded in, the R factors of that same QR sweep run from each
-end, and two tables of chain products over a prefix and a suffix of the
-sites, one row per index assignment, each at most half the chain's size.
-One kernel (``_products``) multiplies out every chain product, for those
-tables, ``to_dense`` and the oscillator's ``wavefunction_mps``, and raises
-OverflowError where a product leaves the double range. A coefficient then
-costs the middle sites' vector products and one dot product. Schmidt
-spectra of bonds without stored weights need no SVD step: those gauge
-moves leave the bond's weight in one small matrix, whose singular values
-are the spectrum. The first such query on a state costs the two sweeps,
-each later cut one small values-only SVD. No operation here expands a
-chain into more entries than it holds except ``to_dense`` itself.
-Without truncation the constructions reproduce the input to working
-precision, and the bond->Schmidt identifications hold at every cut.
-``verify`` checks the gauge a state's form tag claims: each residual
-compares one site's Gram contraction with the identity or, for a Vidal
-left condition, with the squared weights of its right bond.
-
-This module owns the form tag: ``MatrixProductState.tag`` writes it
-(``mixed:<center>`` for a mixed state) and ``parse_form_tag`` reads it,
-for the CLI's ``--form`` and for MPS files alike.
+A state keeps read-only copies of its arrays, so it caches what its queries
+derive on first use. One kernel, ``_products``, multiplies out every chain
+product: for the coefficient tables, ``to_dense`` and ``wavefunction_mps``.
 """
 
 import operator
@@ -60,20 +28,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CenterOutOfRange, ConvergenceFailure, CutOutOfRange, DimChainBroken, FormMismatch,
+    CenterOutOfRange, ConvergenceFailure, DimChainBroken, FormMismatch,
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_entries, _exponent, _lapack_svd
-from .tensor import _rank, low_rank_error, svd
+from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_cut, _check_entries, _exponent, _integer
+from .tensor import _lapack_svd, _rank, low_rank_error, svd
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
 _CHAIN_RANGE = "the state's chain, its bond weights folded in, is outside the double-precision range"
-
-
-def _integer(x) -> bool:
-    """Whether ``x`` is an integer, NumPy's too, but not a bool (a max bond or a center)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -723,8 +686,7 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     matrix between them, every one LAPACK finds, go to ``_cut``, and those
     above its rank cut at DEFAULT_RANK_TOL are the coefficients.
     """
-    if not 1 <= cut <= m.num_sites - 1:
-        raise CutOutOfRange(f"cut must be in 1..{m.num_sites - 1}, got {cut}")
+    _check_cut(m.num_sites, cut)
     if m.bonds is not None and m.bonds[cut - 1] is not None:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
@@ -757,7 +719,7 @@ def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.n
     M^(k)_{a_left, a_right} x_{a_right}; composing these over all sites
     evaluates single coefficients.
     """
-    if not 1 <= n <= m.num_sites:
+    if not (_integer(n) and 1 <= n <= m.num_sites):
         raise IndexOutOfRange(f"site must be in 1..{m.num_sites}, got {n}")
     site = m.sites[n - 1]
     block = _phys_slice(site.as_array(), k, n)

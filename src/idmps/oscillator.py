@@ -44,6 +44,12 @@ _QUAD_POINTS_DEFAULT = 64
 MAX_PHYS_CUTOFF = 600
 
 
+def _check_omega(omega_tilde: float) -> None:
+    """ValueError unless the scaled frequency is finite and > 0."""
+    if not 0.0 < omega_tilde < float("inf"):
+        raise ValueError(f"omega_tilde must be finite and > 0, got {omega_tilde}")
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Inputs of the construction.
@@ -65,8 +71,7 @@ class OscillatorParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if not 0.0 < self.omega_tilde < float("inf"):
-            raise ValueError(f"omega_tilde must be finite and > 0, got {self.omega_tilde}")
+        _check_omega(self.omega_tilde)
         if not np.all(np.isfinite([self.theta, self.phi, self.varphi])):
             raise ValueError(f"angles must be finite, got {(self.theta, self.phi, self.varphi)}")
         if not self.n + 1 <= self.phys_cutoff <= MAX_PHYS_CUTOFF:
@@ -151,6 +156,7 @@ def coeff_C(i: int, j: int, omega_tilde: float) -> float:
     evaluated in log space so large i, j stay finite."""
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
+    _check_omega(omega_tilde)
     ln = 0.25 * log(omega_tilde) - 0.5 * (
         log(pi) + (i + j) * log(2.0) + lgamma(i + 1) + lgamma(j + 1)
     )
@@ -180,6 +186,7 @@ def integral_I_closed(i: int, j: int, omega_tilde: float) -> float:
     """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
+    _check_omega(omega_tilde)
     if (i + j) % 2:
         return 0.0
     from fractions import Fraction  # here: it imports decimal, which nothing else needs
@@ -256,6 +263,7 @@ def integral_I_quadrature(
     """
     if i < 0 or j < 0:
         raise ValueError(f"indices must be >= 0, got ({i}, {j})")
+    _check_omega(omega_tilde)
     if 2 * points < i + j + 2:
         raise InsufficientNodes(
             f"{points} nodes cannot integrate degree {i + j}; need at least (i+j)/2 + 1"

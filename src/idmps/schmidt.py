@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroState
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, _exponent, dematricize, matricize, svd
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _dims, _exponent, dematricize, matricize, svd
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,10 @@ def schmidt_decompose(
 def entropy_from_values(values: Sequence[float] | np.ndarray) -> float:
     """Entanglement entropy -sum p ln p of a Schmidt value list,
     with p_k = lambda_k^2 normalized; 0 ln 0 counts as 0. In nats, and
-    independent of the values' scale."""
+    independent of the values' scale; ValueError for a value that is not finite or is negative."""
     vals = np.asarray(values, dtype=float)
+    if (bad := vals[~(np.isfinite(vals) & (vals >= 0.0))]).size:
+        raise ValueError(f"Schmidt values must be finite and >= 0, got {bad[0]}")
     lam2 = np.ldexp(vals, -_exponent(vals)) ** 2
     total = lam2.sum()
     if total <= 0.0:
@@ -71,7 +73,7 @@ def schmidt_entropy(sd: SchmidtDecomposition) -> float:
 
 def schmidt_reconstruct(sd: SchmidtDecomposition, shape: Sequence[int]) -> DenseTensor:
     """Assemble sum_k lambda_k e_k (x) f_k back into a dense tensor."""
-    dims = tuple(int(d) for d in shape)
+    dims = _dims(shape)
     if not 1 <= sd.cut <= len(dims) - 1:
         raise ShapeMismatch(f"cut {sd.cut} invalid for shape {dims}")
     rows, cols = prod(dims[: sd.cut]), prod(dims[sd.cut :])

@@ -64,13 +64,25 @@ class SvdResult:
     rank: int
 
 
+def _integer(x) -> bool:
+    """Whether ``x`` is an integer, NumPy's too, but not a bool: a dimension, cut, site, max bond or center."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _dims(shape: Sequence[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple of ints: EmptyShape for no axis, ShapeMismatch for a
+    dimension that is not an integer (see ``_integer``) or is below 1."""
+    dims = tuple(shape)
+    if not dims:
+        raise EmptyShape("tensor needs at least one axis")
+    if not all(_integer(d) and d >= 1 for d in dims):
+        raise ShapeMismatch(f"all dimensions must be integers >= 1, got {dims}")
+    return tuple(map(int, dims))
+
+
 def tensor_new(shape: Sequence[int], data: Sequence[complex] | np.ndarray) -> DenseTensor:
     """Validate and copy ``data`` into a DenseTensor with the given shape."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) == 0:
-        raise EmptyShape("tensor needs at least one axis")
-    if any(d < 1 for d in dims):
-        raise ShapeMismatch(f"all dimensions must be >= 1, got {dims}")
+    dims = _dims(shape)
     flat = np.array(data, dtype=complex).reshape(-1)
     if flat.size != prod(dims):
         raise ShapeMismatch(
@@ -108,7 +120,7 @@ def tensor_norm(t: DenseTensor) -> float:
 
 
 def _check_cut(ndim: int, cut: int) -> None:
-    if not 1 <= cut <= ndim - 1:
+    if not (_integer(cut) and 1 <= cut <= ndim - 1):
         raise CutOutOfRange(f"cut must be in 1..{ndim - 1}, got {cut}")
 
 
@@ -125,9 +137,7 @@ def matricize(t: DenseTensor, cut: int) -> np.ndarray:
 
 def dematricize(m: np.ndarray, shape: Sequence[int], cut: int) -> DenseTensor:
     """Inverse of :func:`matricize`; exact bijection for matching shapes."""
-    dims = tuple(int(d) for d in shape)
-    if len(dims) == 0:
-        raise EmptyShape("tensor needs at least one axis")
+    dims = _dims(shape)
     _check_cut(len(dims), cut)
     expected = (prod(dims[:cut]), prod(dims[cut:]))
     if m.shape != expected:
@@ -137,7 +147,10 @@ def dematricize(m: np.ndarray, shape: Sequence[int], cut: int) -> DenseTensor:
 
 def _rank(s: np.ndarray, rank_tol: float) -> int:
     """The rank cut, the one threshold every cut applies: how many of the nonincreasing
-    values ``s`` lie above rank_tol * s[0] (none when ``s`` is empty or zero)."""
+    values ``s`` lie above rank_tol * s[0] (none when ``s`` is empty or zero); ValueError
+    unless 0 <= rank_tol < 1."""
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
     return int(np.count_nonzero(s > rank_tol * s[:1]))
 
 

@@ -35,7 +35,7 @@ from idmps import (
 import idmps.cli
 import idmps.io
 from idmps.cli import _write_decay_csv, main
-from idmps.io import _CHUNK, _pair_items, _write
+from idmps.io import _CHUNK, _write_pairs
 
 # Pair counts at chunk edges: one pair, a chunk boundary a few chunks in
 # (one pair short of it, on it, one pair past it) and a ragged count.
@@ -70,7 +70,7 @@ def _payload(length: int, real: bool, seed: int) -> np.ndarray:
 def test_write_complex_matches_json_dump(length):
     data = _payload(length, real=False, seed=length)
     buf = io.StringIO()
-    _write(buf, _pair_items(data))
+    _write_pairs(buf, data)
     assert buf.getvalue() == json.dumps(_pairs(data))
 
 
@@ -160,7 +160,7 @@ def test_write_complex_is_json_dumps_for_repeated_and_special_values(
 ):
     flat = np.random.default_rng(seed).choice(np.array(pool), size=2 * length)
     buf = io.StringIO()
-    _write(buf, _pair_items(flat.view(complex)))
+    _write_pairs(buf, flat.view(complex))
     assert buf.getvalue() == json.dumps(flat.reshape(-1, 2).tolist())
     if length:
         data = np.where(np.isfinite(flat), flat, 0.5).view(complex)

@@ -32,10 +32,12 @@ from idmps import (
     from_dense_right_canonical,
     from_dense_vidal,
     low_rank_error,
+    matricize,
     schmidt_decompose,
     site_left_residual,
     site_right_residual,
     state_norm,
+    svd,
     tensor_new,
     tensor_norm,
     to_dense,
@@ -695,6 +697,34 @@ def test_bond_spectrum_cut_range():
     for cut in (0, 3):
         with pytest.raises(CutOutOfRange):
             bond_spectrum(m, cut)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), "1", None])
+def test_a_cut_or_site_that_is_not_an_integer_is_out_of_range(bad):
+    """Cuts go through one check, which takes integers (NumPy's too) but no bool or float."""
+    t = ghz_tensor()
+    m = from_dense_right_canonical(t)
+    for call in (lambda: bond_spectrum(m, bad), lambda: matricize(t, bad)):
+        with pytest.raises(CutOutOfRange, match="cut must be in 1..2"):
+            call()
+    with pytest.raises(IndexOutOfRange, match="site must be in 1..3"):
+        apply_site_map(m, bad, np.ones(2), 0)
+    assert np.array_equal(bond_spectrum(m, np.int64(1)).values, bond_spectrum(m, 1).values)
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, np.nan, np.inf])
+def test_every_rank_cut_rejects_a_tolerance_outside_0_to_1(rank_tol):
+    t = ghz_tensor()
+    calls = [
+        lambda: svd(matricize(t, 1), rank_tol),
+        lambda: schmidt_decompose(t, 1, rank_tol),
+        lambda: from_dense_left_canonical(t, rank_tol=rank_tol),
+        lambda: from_dense_mixed_canonical(t, 1, rank_tol=rank_tol),
+        *(lambda form=form: decompose(t, form, rank_tol=rank_tol) for form in ("left", "right", "vidal")),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"rank_tol must be in \[0, 1\)"):
+            call()
 
 
 def test_bond_spectrum_matches_schmidt_for_all_forms():

@@ -461,3 +461,15 @@ def test_bundle_does_not_use_the_closed_form(monkeypatch):
     monkeypatch.setattr(idmps.oscillator, "coeff_C", closed_form)
     b = build_bundle(OscillatorParams(**WORKED))
     assert abs(state_norm(b.mps) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("omega_tilde", [np.nan, np.inf, -np.inf, -1.0, 0.0, -0.0])
+@pytest.mark.parametrize("formula", [coeff_C, integral_I_closed, integral_I_quadrature])
+def test_every_overlap_formula_takes_one_frequency_rule(formula, omega_tilde):
+    """The formulas take the parameters' rule: a finite omega_tilde > 0, else ValueError
+    with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j in ((2, 2), (1, 2)):
+            with pytest.raises(ValueError, match="omega_tilde must be finite and > 0"):
+                formula(i, j, omega_tilde)

@@ -131,3 +131,9 @@ def test_reconstruct_rejects_a_cut_the_shape_does_not_have():
     sd = schmidt_decompose(tensor_new((2, 2, 2), data), 1)
     with pytest.raises(ShapeMismatch, match=r"cut 1 invalid for shape \(4,\)"):
         schmidt_reconstruct(sd, (4,))
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0.5], [np.inf, 0.5], [-3.0, 4.0], [0.5, -np.inf], [-0.0, -1e-300]])
+def test_entropy_rejects_a_value_that_is_not_finite_or_is_negative(values):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        entropy_from_values(values)

@@ -10,6 +10,8 @@ from idmps import (
     dematricize,
     low_rank_error,
     matricize,
+    schmidt_decompose,
+    schmidt_reconstruct,
     svd,
     tensor_new,
     tensor_norm,
@@ -134,6 +136,21 @@ def test_matricize_cut_out_of_range():
 def test_dematricize_rejects_an_empty_shape():
     with pytest.raises(EmptyShape, match="at least one axis"):
         dematricize(np.ones((1, 1)), (), 1)
+
+
+@pytest.mark.parametrize("shape", [(2.9, 2), (2.0, 2), ("2", "2"), (True, 4), (2, np.float64(2)), (0, 4)])
+@pytest.mark.parametrize("build", ["tensor_new", "dematricize", "schmidt_reconstruct"])
+def test_every_shape_takes_one_dimension_rule(shape, build):
+    """A dimension is an integer >= 1, NumPy's too, but not a bool, a float or a string."""
+    sd = schmidt_decompose(tensor_new((2, 2), BELL), 1)
+    calls = {
+        "tensor_new": lambda dims: tensor_new(dims, BELL),
+        "dematricize": lambda dims: dematricize(BELL.reshape(2, 2), dims, 1),
+        "schmidt_reconstruct": lambda dims: schmidt_reconstruct(sd, dims),
+    }
+    with pytest.raises(ShapeMismatch, match="must be integers >= 1"):
+        calls[build](shape)
+    assert calls[build]((np.int64(2), np.int32(2))).shape == (2, 2)
 
 
 def test_svd_diagonal():
