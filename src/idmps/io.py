@@ -230,15 +230,13 @@ def save_mps(path: str, m: MatrixProductState) -> None:
 
 
 # The two decoders check only what the constructors leave to their callers: that
-# dimensions are ints (json's true is an int to SiteTensor), data [re, im] pairs
-# and weights finite reals. A constructor's error names its site or bond.
+# data are [re, im] pairs and weights finite reals. A constructor's error, such as
+# SiteTensor's for a dimension that is not an integer, names its site or bond.
 def _site(raw, what: str) -> SiteTensor:
-    """A site of an MPS document: an object whose dimensions are ints and whose data are [re, im] pairs."""
+    """A site of an MPS document: an object whose data are [re, im] pairs."""
     if not isinstance(raw, dict):
         raise FileFormatError(f"{what} must be an object")
     dims = [raw.get(key) for key in ("phys_dim", "left_dim", "right_dim")]
-    if not all(type(d) is int for d in dims):
-        raise FileFormatError(f"{what}: phys_dim, left_dim and right_dim must be integers")
     data = _decode_complex(raw.get("data"), what)
     data.flags.writeable = False  # nothing else holds it, so the site adopts it
     try:

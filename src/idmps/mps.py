@@ -19,7 +19,6 @@ derive on first use. One kernel, ``_products``, multiplies out every chain
 product: for the coefficient tables, ``to_dense`` and ``wavefunction_mps``.
 """
 
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,11 +27,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CenterOutOfRange, ConvergenceFailure, DimChainBroken, FormMismatch,
+    CenterOutOfRange, ConvergenceFailure, CutOutOfRange, DimChainBroken, FormMismatch,
     IndexOutOfRange, LengthMismatch, PolicyEmpty, ShapeMismatch, ZeroState,
 )
 from .schmidt import entropy_from_values
-from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_cut, _check_entries, _exponent, _integer
+from .tensor import DEFAULT_RANK_TOL, _SLAB, DenseTensor, _check_entries, _dims, _exponent, _in_range, _integer
 from .tensor import _lapack_svd, _rank, low_rank_error, svd
 
 FORMS = ("left", "right", "mixed", "vidal", "unknown")
@@ -46,7 +45,8 @@ class SiteTensor:
     ``data`` is flat with entry (k, a_left, a_right) at index
     (k * left_dim + a_left) * right_dim + a_right. It is a read-only copy
     of the array given, as is the shaped view ``as_array`` returns; an array
-    given read-only (which must then not change) is kept, not copied.
+    given read-only (which must then not change) is kept, not copied. The
+    three dimensions take ``_dims``' rule: integers >= 1, else ShapeMismatch.
     """
 
     phys_dim: int
@@ -55,10 +55,7 @@ class SiteTensor:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if min(self.phys_dim, self.left_dim, self.right_dim) < 1:
-            raise ShapeMismatch(
-                f"site dims must be >= 1, got ({self.phys_dim}, {self.left_dim}, {self.right_dim})"
-            )
+        _dims((self.phys_dim, self.left_dim, self.right_dim))
         keep = isinstance(self.data, np.ndarray) and not self.data.flags.writeable
         flat = (np.asarray if keep else np.array)(self.data, dtype=complex, order="C").reshape(-1)
         expected = self.phys_dim * self.left_dim * self.right_dim
@@ -686,7 +683,7 @@ def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:
     matrix between them, every one LAPACK finds, go to ``_cut``, and those
     above its rank cut at DEFAULT_RANK_TOL are the coefficients.
     """
-    _check_cut(m.num_sites, cut)
+    _in_range(cut, 1, m.num_sites - 1, CutOutOfRange, "cut")
     if m.bonds is not None and m.bonds[cut - 1] is not None:
         if m.form == "vidal" or (m.form == "mixed" and cut == m.center):
             return m.bonds[cut - 1]
@@ -703,13 +700,11 @@ def entanglement_entropy(m: MatrixProductState, cut: int) -> float:
 
 def _phys_slice(slices, k, n: int) -> np.ndarray:
     """Entry ``k`` of site ``n``'s per-physical-index matrices; ``k`` is an integer, NumPy's too."""
-    try:
-        i = operator.index(k)
-    except TypeError:
-        raise IndexOutOfRange(f"physical index {k!r} at site {n} is not an integer") from None
-    if not 0 <= i < len(slices):
+    if not _integer(k):
+        raise IndexOutOfRange(f"physical index {k!r} at site {n} is not an integer")
+    if not 0 <= k < len(slices):
         raise IndexOutOfRange(f"physical index {k} outside 0..{len(slices) - 1} at site {n}")
-    return slices[i]
+    return slices[k]
 
 
 def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.ndarray:
@@ -719,8 +714,7 @@ def apply_site_map(m: MatrixProductState, n: int, x: np.ndarray, k: int) -> np.n
     M^(k)_{a_left, a_right} x_{a_right}; composing these over all sites
     evaluates single coefficients.
     """
-    if not (_integer(n) and 1 <= n <= m.num_sites):
-        raise IndexOutOfRange(f"site must be in 1..{m.num_sites}, got {n}")
+    _in_range(n, 1, m.num_sites, IndexOutOfRange, "site")
     site = m.sites[n - 1]
     block = _phys_slice(site.as_array(), k, n)
     vec = np.asarray(x, dtype=complex).reshape(-1)
@@ -736,17 +730,19 @@ def coefficient(m: MatrixProductState, indices) -> complex:
     idx = list(indices)
     if len(idx) != m.num_sites:
         raise IndexOutOfRange(f"expected {m.num_sites} indices, got {len(idx)}")
+    plain = set(map(type, idx)) <= {int}
     try:
-        ks = list(map(operator.index, idx))
-        if min(ks) < 0:
+        if not plain or min(idx) < 0:
             raise IndexError
         left, right = m._envs
         lc, mid = left.ndim - 1, m.num_sites - right.ndim + 1
-        v = left[tuple(ks[:lc])]
-        for k, per_site in zip(ks[lc:mid], m._slices[lc:mid]):
+        v = left[tuple(idx[:lc])]
+        for k, per_site in zip(idx[lc:mid], m._slices[lc:mid]):
             v = v.dot(per_site[k])
-        return complex(v.dot(right[tuple(ks[mid:][::-1])]))
-    except (TypeError, IndexError):  # name the leftmost bad index
+        return complex(v.dot(right[tuple(idx[mid:][::-1])]))
+    except IndexError:  # name the leftmost bad index; indices that all pass are NumPy's, taken as ints
         for n, (k, per_site) in enumerate(zip(idx, m._slices), start=1):
             _phys_slice(per_site, k, n)
-        raise
+        if plain:
+            raise
+        return coefficient(m, list(map(int, idx)))

@@ -32,10 +32,10 @@ import numpy as np
 
 from .errors import DegreeTooLarge, IndexOutOfRange, InsufficientNodes
 from .mps import MatrixProductState, SiteTensor, _products, to_dense
-from .tensor import DenseTensor, _check_entries
+from .tensor import DenseTensor, _check_entries, _in_range, _integer
 
-#: Raw physicist's Hermite values overflow well before this; the
-#: recurrence itself is exact in structure but float-limited.
+#: The largest Hermite degree taken. Raw values overflow a double well inside it:
+#: H_200 already does past |x| = 20.57, where ``hermite`` raises OverflowError.
 MAX_HERMITE_DEGREE = 200
 
 _QUAD_POINTS_DEFAULT = 64
@@ -50,6 +50,15 @@ def _check_omega(omega_tilde: float) -> None:
         raise ValueError(f"omega_tilde must be finite and > 0, got {omega_tilde}")
 
 
+def _check_overlap_args(i: int, j: int, omega_tilde: float) -> tuple[int, int]:
+    """(i, j) as Python ints, so the exact sums stay exact for NumPy's too: ValueError unless
+    both are integers >= 0 (see ``_integer``) and omega_tilde passes ``_check_omega``."""
+    if not (_integer(i) and _integer(j) and min(i, j) >= 0):
+        raise ValueError(f"integer indices must be >= 0, got ({i!r}, {j!r})")
+    _check_omega(omega_tilde)
+    return int(i), int(j)
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Inputs of the construction.
@@ -59,6 +68,7 @@ class OscillatorParams:
     angles fix the mode direction. ``phys_cutoff`` truncates each site's
     infinite basis to its first d functions, at least n+1 so the bond
     structure fits, and the middle site's d(n+1)^2 entries at most MAX_ENTRIES.
+    ``n`` and ``phys_cutoff`` are integers (see ``_integer``), else ValueError.
     """
 
     n: int
@@ -69,15 +79,11 @@ class OscillatorParams:
     phys_cutoff: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        _in_range(self.n, 0, MAX_PHYS_CUTOFF - 1, ValueError, "n")
         _check_omega(self.omega_tilde)
         if not np.all(np.isfinite([self.theta, self.phi, self.varphi])):
             raise ValueError(f"angles must be finite, got {(self.theta, self.phi, self.varphi)}")
-        if not self.n + 1 <= self.phys_cutoff <= MAX_PHYS_CUTOFF:
-            raise ValueError(
-                f"phys_cutoff must be in n+1={self.n + 1}..{MAX_PHYS_CUTOFF}, got {self.phys_cutoff}"
-            )
+        _in_range(self.phys_cutoff, self.n + 1, MAX_PHYS_CUTOFF, ValueError, "phys_cutoff")
         _check_entries((self.phys_cutoff, self.n + 1, self.n + 1), "the middle site")
 
 
@@ -114,10 +120,17 @@ def direction_cosines(params: OscillatorParams) -> tuple[float, float, float]:
 
 def hermite(j: int, x):
     """Physicist's Hermite polynomial H_j via the three-term recurrence
-    H_{j+1} = 2x H_j - 2j H_{j-1}. Accepts scalars or arrays."""
-    if not 0 <= j <= MAX_HERMITE_DEGREE:
-        raise DegreeTooLarge(f"degree must be in 0..{MAX_HERMITE_DEGREE}, got {j}")
-    h = _hermite_extended(j, np.asarray(x, dtype=float))
+    H_{j+1} = 2x H_j - 2j H_{j-1}, for an integer j in 0..MAX_HERMITE_DEGREE
+    (else DegreeTooLarge) and a finite scalar or array x (else ValueError);
+    a value past the double range raises OverflowError, not a numpy warning."""
+    _in_range(j, 0, MAX_HERMITE_DEGREE, DegreeTooLarge, "degree")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _hermite_extended(j, x)
+    if not np.isfinite(h).all():
+        raise OverflowError(f"H_{j} at x leaves the double-precision range")
     return h if np.ndim(h) else float(h)
 
 
@@ -143,10 +156,8 @@ def basis_f(i_site: int, k: int, x):
     """Value of the k-th orthonormal oscillator basis function
     f_k(x) = e^{-x^2/2} H_k(x) / sqrt(2^k k! sqrt(pi)); the site index
     only labels which coordinate the argument is."""
-    if i_site not in (1, 2, 3):
-        raise ValueError(f"site label must be 1, 2 or 3, got {i_site}")
-    if not 0 <= k <= MAX_HERMITE_DEGREE:
-        raise DegreeTooLarge(f"degree must be in 0..{MAX_HERMITE_DEGREE}, got {k}")
+    _in_range(i_site, 1, 3, ValueError, "site label")
+    _in_range(k, 0, MAX_HERMITE_DEGREE, DegreeTooLarge, "degree")
     vals = _f_values(k, x)[k]
     return vals if np.ndim(x) else float(vals)
 
@@ -154,9 +165,7 @@ def basis_f(i_site: int, k: int, x):
 def coeff_C(i: int, j: int, omega_tilde: float) -> float:
     """Normalization factor sqrt(sqrt(w) / (pi 2^i 2^j i! j!)),
     evaluated in log space so large i, j stay finite."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    _check_omega(omega_tilde)
+    i, j = _check_overlap_args(i, j, omega_tilde)
     ln = 0.25 * log(omega_tilde) - 0.5 * (
         log(pi) + (i + j) * log(2.0) + lgamma(i + 1) + lgamma(j + 1)
     )
@@ -184,9 +193,7 @@ def integral_I_closed(i: int, j: int, omega_tilde: float) -> float:
     first overflows at i = 151). Where |I| itself exceeds the double range,
     DegreeTooLarge is raised.
     """
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    _check_omega(omega_tilde)
+    i, j = _check_overlap_args(i, j, omega_tilde)
     if (i + j) % 2:
         return 0.0
     from fractions import Fraction  # here: it imports decimal, which nothing else needs
@@ -261,12 +268,10 @@ def integral_I_quadrature(
     double so near-cancelling entries keep ~1e-10 relative accuracy; a
     result that is not a finite double raises DegreeTooLarge.
     """
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    _check_omega(omega_tilde)
-    if 2 * points < i + j + 2:
+    i, j = _check_overlap_args(i, j, omega_tilde)
+    if not (_integer(points) and 2 * points >= i + j + 2):
         raise InsufficientNodes(
-            f"{points} nodes cannot integrate degree {i + j}; need at least (i+j)/2 + 1"
+            f"{points!r} nodes cannot integrate degree {i + j}; need an integer of at least (i+j)/2 + 1"
         )
     if i > MAX_HERMITE_DEGREE or j > MAX_HERMITE_DEGREE:
         raise DegreeTooLarge(f"degrees must be <= {MAX_HERMITE_DEGREE}, got ({i}, {j})")
@@ -289,8 +294,7 @@ def integral_I_quadrature(
 
 def _binomial_weight(k: int, params: OscillatorParams, mode: int, name: str) -> float:
     """Binomial weight of k of the n quanta in ``mode`` (0-based)."""
-    if not 0 <= k <= params.n:
-        raise IndexOutOfRange(f"{name} must be in 0..{params.n}, got {k}")
+    _in_range(k, 0, params.n, IndexOutOfRange, name)
     u = direction_cosines(params)[mode]
     p = u * u
     return comb(params.n, k) * p**k * (1.0 - p) ** (params.n - k)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroState
-from .tensor import DEFAULT_RANK_TOL, DenseTensor, _dims, _exponent, dematricize, matricize, svd
+from .tensor import DEFAULT_RANK_TOL, DenseTensor, _dims, _exponent, _integer, dematricize, matricize, svd
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def schmidt_entropy(sd: SchmidtDecomposition) -> float:
 def schmidt_reconstruct(sd: SchmidtDecomposition, shape: Sequence[int]) -> DenseTensor:
     """Assemble sum_k lambda_k e_k (x) f_k back into a dense tensor."""
     dims = _dims(shape)
-    if not 1 <= sd.cut <= len(dims) - 1:
+    if not (_integer(sd.cut) and 1 <= sd.cut <= len(dims) - 1):
         raise ShapeMismatch(f"cut {sd.cut} invalid for shape {dims}")
     rows, cols = prod(dims[: sd.cut]), prod(dims[sd.cut :])
     if sd.left_vectors.shape[0] != rows or sd.right_vectors.shape[0] != cols:

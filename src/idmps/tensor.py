@@ -65,8 +65,14 @@ class SvdResult:
 
 
 def _integer(x) -> bool:
-    """Whether ``x`` is an integer, NumPy's too, but not a bool: a dimension, cut, site, max bond or center."""
+    """Whether ``x`` is an integer, NumPy's too, but not a bool: the one rule for every integer argument."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _in_range(x, lo: int, hi: int, error: type[Exception], name: str) -> None:
+    """``error`` unless ``x`` is an integer (see ``_integer``) in lo..hi."""
+    if not (_integer(x) and lo <= x <= hi):
+        raise error(f"{name} must be in {lo}..{hi}, got {x!r}")
 
 
 def _dims(shape: Sequence[int]) -> tuple[int, ...]:
@@ -119,18 +125,13 @@ def tensor_norm(t: DenseTensor) -> float:
     return float(np.ldexp(np.sqrt(total), e))
 
 
-def _check_cut(ndim: int, cut: int) -> None:
-    if not (_integer(cut) and 1 <= cut <= ndim - 1):
-        raise CutOutOfRange(f"cut must be in 1..{ndim - 1}, got {cut}")
-
-
 def matricize(t: DenseTensor, cut: int) -> np.ndarray:
     """Unfold ``t`` into a (d_1..d_cut) x (d_{cut+1}..d_N) matrix.
 
     Row index = row-major flattening of the first ``cut`` physical
     indices, column index = flattening of the rest.
     """
-    _check_cut(t.ndim, cut)
+    _in_range(cut, 1, t.ndim - 1, CutOutOfRange, "cut")
     rows = prod(t.shape[:cut])
     return t.data.reshape(rows, -1)
 
@@ -138,7 +139,7 @@ def matricize(t: DenseTensor, cut: int) -> np.ndarray:
 def dematricize(m: np.ndarray, shape: Sequence[int], cut: int) -> DenseTensor:
     """Inverse of :func:`matricize`; exact bijection for matching shapes."""
     dims = _dims(shape)
-    _check_cut(len(dims), cut)
+    _in_range(cut, 1, len(dims) - 1, CutOutOfRange, "cut")
     expected = (prod(dims[:cut]), prod(dims[cut:]))
     if m.shape != expected:
         raise ShapeMismatch(f"matrix shape {m.shape} does not unfold to {dims} at cut {cut}")
@@ -206,7 +207,6 @@ def low_rank_error(s: Sequence[float] | np.ndarray, keep: int) -> float:
     """Frobenius-norm error of the best rank-``keep`` approximation,
     sqrt of the discarded squared singular values, at any scale."""
     vals = np.asarray(s, dtype=float)
-    if not 0 <= keep <= vals.size:
-        raise KeepOutOfRange(f"keep must be in 0..{vals.size}, got {keep}")
+    _in_range(keep, 0, vals.size, KeepOutOfRange, "keep")
     e = _exponent(vals[keep:])
     return float(np.ldexp(np.sqrt(np.sum(np.ldexp(vals[keep:], -e) ** 2)), e))

@@ -38,6 +38,7 @@ from idmps import (
 from idmps.cli import main
 from idmps.io import _CHUNK
 from idmps.mps import parse_form_tag
+from idmps.oscillator import MAX_PHYS_CUTOFF
 from test_properties import small_weight_chain
 
 
@@ -469,6 +470,54 @@ def test_size_cap_exit_1_before_allocating(tmp_path, capsys, case):
     assert err.startswith("error: ") and f" {count} entries" in err and err.count("\n") == 1
     assert peak < 1 << 20, peak
     assert not (tmp_path / "t.json").exists() and not (tmp_path / "o.json").exists()
+
+
+# Oscillator sizes (n, phys_cutoff) the CLI either builds at once or refuses before it
+# allocates: small ones (any, then valid ones), cutoffs past MAX_PHYS_CUTOFF, and sizes
+# whose middle site passes MAX_ENTRIES (d (n+1)^2 >= 407^3 > 2^26 wherever n + 1 <= d).
+SMALL_SIZE = 80
+OSCILLATOR_SIZES = st.one_of(
+    st.tuples(st.integers(-2, SMALL_SIZE - 1), st.integers(-2, SMALL_SIZE)),
+    st.integers(0, SMALL_SIZE - 1).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, SMALL_SIZE))),
+    st.tuples(st.integers(-10, 10**6), st.integers(MAX_PHYS_CUTOFF + 1, 10**12)),
+    st.tuples(st.integers(406, 10**6), st.integers(407, MAX_PHYS_CUTOFF)),
+)
+
+
+def _mostly(generic, *special):
+    """A value of ``generic`` in two draws of three, else one of ``special``."""
+    return st.one_of(generic, generic, st.sampled_from(special))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    OSCILLATOR_SIZES,
+    _mostly(st.floats(1e-3, 1e3), 0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf),
+    st.lists(_mostly(st.floats(-10.0, 10.0), 1e300, -1e300, 1e16, math.nan, math.inf, -math.inf),
+             min_size=3, max_size=3),
+)
+def test_oscillator_arguments_size_cap_bounded_or_typed_exit(sizes, omega_tilde, angles):
+    """Any oscillator arguments give a bounded state or a typed exit: exit 0 with a
+    finite norm <= 1, or exit 1 or 2 with one stderr line and no traceback. Runs in
+    process; CI runs it under its address-space limit too (``size_cap`` in the name)."""
+    (n, cutoff), (theta, phi, varphi) = sizes, angles
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["oscillator", f"--n={n}", f"--phys-cutoff={cutoff}", f"--omega-tilde={omega_tilde!r}",
+                f"--theta={theta!r}", f"--phi={phi!r}", f"--varphi={varphi!r}",
+                "--out-mps", os.path.join(tmp, "o.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if cutoff > SMALL_SIZE:
+        assert code == 1, (code, err)
+    if code == 0:
+        norm = json.loads(out)["norm"]
+        assert math.isfinite(norm) and 0.0 <= norm <= 1.0 + 1e-9, norm
+        assert err == ""
+    else:
+        assert code in (1, 2) and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
 
 
 def _reconstruct_with_reference(tmp_path, capsys):

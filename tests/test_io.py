@@ -433,7 +433,7 @@ SITES = BASE_MPS[BASE_MPS.index('"sites": [') + len('"sites": [') : BASE_MPS.ind
 # (edits to BASE_MPS, the site or bond the error names, if any)
 DAMAGED_MPS = {
     "site-short-data": ([(", [0.0, -1.0]]}]", "]}]")], "site 2"),
-    # true passes every constructor check as the int 1 would.
+    # SiteTensor rejects true as a dimension: a bool is not an integer there.
     "site-bool-dim": ([('"left_dim": 2, "right_dim": 1', '"left_dim": 2, "right_dim": true')], "site 2"),
     "site-list": ([(SITES.split("}, ")[1], "[2, 2, 1]")], "site 2"),
     "bond-increasing": ([("[[0.75, 0.25]]", "[[0.25, 0.75]]")], "bond 1"),

@@ -801,6 +801,24 @@ def test_coefficient_rejects_a_non_integer_index(bad):
         apply_site_map(m, 1, np.ones(2), bad)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True)], ids=["bool", "numpy-bool"])
+def test_a_physical_index_that_is_a_bool_is_not_an_integer(bad):
+    """A bool is no physical index (test_coefficient_rejects_a_non_integer_index
+    has the floats and the string)."""
+    m = from_dense_right_canonical(ghz_tensor())
+    with pytest.raises(IndexOutOfRange, match=rf"index {bad!r} at site 1 is not an integer$"):
+        coefficient(m, [bad, 0, 0])
+    with pytest.raises(IndexOutOfRange, match=rf"index {bad!r} at site 3 is not an integer$"):
+        apply_site_map(m, 3, np.ones(1), bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_apply_site_map_takes_numpy_integers(kind):
+    m = from_dense_right_canonical(ghz_tensor())
+    x = np.array([0.5, 2.0])
+    assert np.array_equal(apply_site_map(m, kind(2), x, kind(1)), apply_site_map(m, 2, x, 1))
+
+
 def test_coefficient_takes_numpy_integers():
     m = from_dense_right_canonical(ghz_tensor())
     assert coefficient(m, (np.int64(1), np.int32(1), np.uint8(1))) == coefficient(m, (1, 1, 1))

@@ -31,6 +31,7 @@ from idmps import (
     wavefunction_mps,
 )
 from idmps.oscillator import MAX_PHYS_CUTOFF, _mixing_weights, _overlap_table
+from test_tensor import NOT_INTEGER_IDS, NOT_INTEGERS
 
 # n=1 at unit frequency with theta = varphi = pi/4, phi = 0 gives the
 # direction (1/sqrt2, -1/2, 1/2), hence alpha = (1/2, 1/2) and
@@ -473,3 +474,79 @@ def test_every_overlap_formula_takes_one_frequency_rule(formula, omega_tilde):
         for i, j in ((2, 2), (1, 2)):
             with pytest.raises(ValueError, match="omega_tilde must be finite and > 0"):
                 formula(i, j, omega_tilde)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_a_degree_or_site_label_that_is_not_an_integer_is_rejected(bad):
+    for call in (lambda: hermite(bad, 0.5), lambda: basis_f(1, bad, 0.5)):
+        with pytest.raises(DegreeTooLarge, match="degree must be in 0..200"):
+            call()
+    with pytest.raises(ValueError, match="site label must be in 1..3"):
+        basis_f(bad, 1, 0.5)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_degrees_and_site_labels_take_numpy_integers(kind):
+    assert hermite(kind(4), 1.0) == hermite(4, 1.0)
+    assert basis_f(kind(2), kind(3), 0.5) == basis_f(2, 3, 0.5)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_a_lane_that_is_not_an_integer_is_out_of_range(bad):
+    p = OscillatorParams(n=3, omega_tilde=1.2, theta=0.3, phi=0.4, varphi=0.5, phys_cutoff=6)
+    for weight, name in ((alpha, "a"), (gamma, "b")):
+        with pytest.raises(IndexOutOfRange, match=f"{name} must be in 0..3"):
+            weight(bad, p)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_lanes_take_numpy_integers(kind):
+    p = OscillatorParams(n=3, omega_tilde=1.2, theta=0.3, phi=0.4, varphi=0.5, phys_cutoff=6)
+    assert (alpha(kind(2), p), gamma(kind(1), p)) == (alpha(2, p), gamma(1, p))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_an_overlap_index_or_node_count_that_is_not_an_integer_is_rejected(bad):
+    for formula in (coeff_C, integral_I_closed, integral_I_quadrature):
+        for i, j in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match="integer indices must be >= 0"):
+                formula(i, j, 1.3)
+    with pytest.raises(InsufficientNodes, match="need an integer"):
+        integral_I_quadrature(1, 1, 1.3, points=bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_overlap_formulas_take_numpy_integers(kind):
+    """NumPy's integers give the ints' values, also where the exact sum runs past int64."""
+    for i, j in ((2, 4), (30, 30), (150, 150)):
+        assert coeff_C(kind(i), kind(j), 1.3) == coeff_C(i, j, 1.3)
+        assert integral_I_closed(kind(i), kind(j), 1.3) == integral_I_closed(i, j, 1.3)
+        assert integral_I_quadrature(kind(i), kind(j), 1.3, kind(160)) == integral_I_quadrature(i, j, 1.3, 160)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_params_whose_n_or_cutoff_is_not_an_integer_are_rejected(bad):
+    angles = dict(omega_tilde=1.2, theta=0.3, phi=0.4, varphi=0.5)
+    with pytest.raises(ValueError, match=f"n must be in 0..{MAX_PHYS_CUTOFF - 1}"):
+        OscillatorParams(n=bad, phys_cutoff=4, **angles)
+    with pytest.raises(ValueError, match=f"phys_cutoff must be in 1..{MAX_PHYS_CUTOFF}"):
+        OscillatorParams(n=0, phys_cutoff=bad, **angles)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_params_take_numpy_integers(kind):
+    p = OscillatorParams(n=kind(2), omega_tilde=1.2, theta=0.3, phi=0.4, varphi=0.5, phys_cutoff=kind(5))
+    q = OscillatorParams(n=2, omega_tilde=1.2, theta=0.3, phi=0.4, varphi=0.5, phys_cutoff=5)
+    assert np.array_equal(build_bundle(p).a1, build_bundle(q).a1)
+
+
+@pytest.mark.parametrize("x", [30.0, -25.0, [0.0, 21.0], np.inf, -np.inf, np.nan, [1.0, np.nan]])
+def test_hermite_raises_instead_of_warning(x):
+    """H_200 leaves the double range near |x| = 20.6: OverflowError there, ValueError
+    for a point that is not finite, and no numpy warning on the way."""
+    error = OverflowError if np.isfinite(x).all() else ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            hermite(200, x)
+        assert np.isfinite(hermite(200, 20.5))

@@ -283,6 +283,22 @@ def test_low_rank_error_examples():
         low_rank_error([1.0], -1)
 
 
+# Integer arguments take one rule (tensor._integer): integers, NumPy's too, never a bool.
+NOT_INTEGERS = [1.5, 2.0, True, np.bool_(True), "2"]
+NOT_INTEGER_IDS = ["fraction", "integral-float", "bool", "numpy-bool", "string"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_a_keep_that_is_not_an_integer_is_out_of_range(bad):
+    with pytest.raises(KeepOutOfRange, match="keep must be in 0..3"):
+        low_rank_error([3.0, 2.0, 1.0], bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_low_rank_error_takes_numpy_integers(kind):
+    assert low_rank_error([3.0, 2.0, 1.0], kind(1)) == low_rank_error([3.0, 2.0, 1.0], 1)
+
+
 def test_eckart_young_on_random_matrix():
     rng = np.random.default_rng(16)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
