@@ -318,7 +318,7 @@ def _split(a: np.ndarray, policy: TruncationPolicy | None, rank_tol: float) -> t
     res = svd(_wide_factor(a) if wide else a, 0.0)
     cut = _cut(res.s, policy, rank_tol)
     u, keep = res.u[:, : cut.kept], cut.kept
-    with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _state rejects it
+    with np.errstate(over="ignore", invalid="ignore"):  # the next svd or _gauge rejects it
         w = u.conj().T @ a if wide else np.multiply(res.vh[:keep], res.s[:keep, None], out=res.vh[:keep])
     return u, w, cut
 
@@ -347,7 +347,7 @@ def _sweep(blocks: list[np.ndarray], stop: int, step: Callable[[np.ndarray], tup
         g = blocks[n]
         q, w, record = step(g.reshape(-1, g.shape[2]))
         blocks[n] = q.reshape(g.shape[0], g.shape[1], -1)
-        with np.errstate(over="ignore", invalid="ignore"):  # the next step or _state rejects it
+        with np.errstate(over="ignore", invalid="ignore"):  # the next step or _gauge rejects it
             blocks[n + 1] = np.matmul(w, blocks[n + 1])
         records.append(record)
     return tuple(records)
@@ -364,34 +364,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _state(
-    blocks: list[np.ndarray], form: str,
-    bonds: tuple[BondSpectrum | None, ...] | None = None, center: int | None = None,
-) -> MatrixProductState:
-    """The state of a sweep's blocks; a block that is not finite raises
-    ConvergenceFailure (as do the weighted forms of a near-subnormal state)."""
+def _gauge(blocks: list[np.ndarray], form: str, center: int | None, rank_tol: float) -> MatrixProductState:
+    """The state in ``form`` of a chain whose blocks 1..N-1 are left isometries: the one routine
+    that builds a decomposed state. Every form but the left runs one untruncated right sweep down to bond
+    ``center`` (1 for right and vidal), a gauge move whose ``rank_tol`` should cut only numerical
+    zeros: it leaves the exact Schmidt values on each bond it crosses. The mixed form keeps its
+    center bond's, the Vidal form every bond's, and the block left of a kept bond is divided by
+    them. A block that is not finite raises ConvergenceFailure (as do the weighted forms of a
+    near-subnormal state)."""
+    kept = {"mixed": [center], "vidal": range(1, len(blocks))}.get(form)
+    bonds = None if kept is None else [None] * (len(blocks) - 1)
+    if form != "left":
+        mirror = _mirror(blocks)
+        steps = _sweep(mirror, len(blocks) - (center or 1), lambda a: _split(a, None, rank_tol))
+        blocks = _mirror(mirror)
+        for n in kept or ():
+            lam = steps[len(blocks) - 1 - n].spectrum  # bond n's step multiplied block n by Vh^T S
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected below if not finite
+                blocks[n - 1] = blocks[n - 1] / lam
+            bonds[n - 1] = BondSpectrum(lam)
     if not all(np.isfinite(g).all() for g in blocks):
         least = min((b.values[-1] for b in bonds or () if b is not None), default=0.0)
         why = f": the form cannot represent a state so small (weights down to {least:.3g})" if least else ""
         raise ConvergenceFailure(f"a {form} site tensor would exceed the double-precision range{why}")
-    sites = tuple(SiteTensor(*g.shape, g) for g in blocks)
-    return MatrixProductState(sites=sites, bonds=bonds, form=form, center=center)
-
-
-def _vidal(blocks: list[np.ndarray], rank_tol: float) -> MatrixProductState:
-    """Canonical form of a chain whose blocks 1..N-1 are left isometries.
-
-    An untruncated right sweep, a gauge move whose ``rank_tol`` should cut
-    only numerical zeros, leaves every bond's weights equal to the exact
-    Schmidt values of the final state; each Gamma is the block left by
-    the sweep divided by its right-bond weights.
-    """
-    mirror = _mirror(blocks)
-    steps = _sweep(mirror, len(blocks) - 1, lambda a: _split(a, None, rank_tol))
-    blocks, lams = _mirror(mirror), [cut.spectrum for cut in steps[::-1]]
-    with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite Gamma
-        gammas = [g / lam for g, lam in zip(blocks, lams)] + blocks[-1:]
-    return _state(gammas, "vidal", tuple(BondSpectrum(lam) for lam in lams))
+    return MatrixProductState(tuple(SiteTensor(*g.shape, g) for g in blocks), bonds, form, center)
 
 
 def decompose(
@@ -420,23 +416,7 @@ def decompose(
     elif center is not None:
         raise ValueError(f"a center applies only to the mixed form, not {form!r}")
     blocks, cuts = _dense_sweep(t, policy, rank_tol)
-    zeros = min(rank_tol, DEFAULT_RANK_TOL)
-    if form == "left":
-        return _state(blocks, "left"), cuts
-    if form == "vidal":
-        return _vidal(blocks, zeros), cuts
-    mirror = _mirror(blocks)
-    steps = _sweep(mirror, t.ndim - (center or 1), lambda a: _split(a, None, zeros))
-    blocks = _mirror(mirror)
-    if form == "right":
-        return _state(blocks, "right"), cuts
-    weights = steps[-1].spectrum
-    # The last step multiplied the center site by Vh^T S; Vh^T alone keeps it left-normalized.
-    with np.errstate(over="ignore", invalid="ignore"):  # _state rejects a non-finite site
-        blocks[center - 1] = blocks[center - 1] / weights
-    bonds: list[BondSpectrum | None] = [None] * (t.ndim - 1)
-    bonds[center - 1] = BondSpectrum(weights)
-    return _state(blocks, "mixed", tuple(bonds), center), cuts
+    return _gauge(blocks, form, center, min(rank_tol, DEFAULT_RANK_TOL)), cuts
 
 
 def from_dense_right_canonical(
@@ -647,8 +627,8 @@ def truncate(
     on the exact Schmidt values of the state truncated so far, so the
     errors add in quadrature to the distance from the input; a QR sweep
     from the right end first right-normalizes the chain so that those
-    values are exact. Either way the right sweep of from_dense_vidal puts
-    the result in canonical form, keeping at least one value per bond.
+    values are exact. Either way ``_gauge``'s right sweep puts the result
+    in canonical form, keeping at least one value per bond.
     """
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
@@ -670,7 +650,7 @@ def truncate(
     steps = _sweep(blocks, len(blocks) - 1, lambda a: _split(a, policy, DEFAULT_RANK_TOL))
     if policy is not None:
         errors = [cut.discarded for cut in steps]
-    return _vidal(blocks, DEFAULT_RANK_TOL), errors
+    return _gauge(blocks, "vidal", None, DEFAULT_RANK_TOL), errors
 
 
 def bond_spectrum(m: MatrixProductState, cut: int) -> BondSpectrum:

@@ -118,15 +118,21 @@ def direction_cosines(params: OscillatorParams) -> tuple[float, float, float]:
     return float(u1), float(u2), float(u3)
 
 
+def _finite(x, what: str = "x") -> np.ndarray:
+    """``x`` as a float array; a coordinate that is not finite is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def hermite(j: int, x):
     """Physicist's Hermite polynomial H_j via the three-term recurrence
     H_{j+1} = 2x H_j - 2j H_{j-1}, for an integer j in 0..MAX_HERMITE_DEGREE
     (else DegreeTooLarge) and a finite scalar or array x (else ValueError);
     a value past the double range raises OverflowError, not a numpy warning."""
     _in_range(j, 0, MAX_HERMITE_DEGREE, DegreeTooLarge, "degree")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(f"x must be finite, got {x}")
+    x = _finite(x)
     with np.errstate(over="ignore", invalid="ignore"):
         h = _hermite_extended(j, x)
     if not np.isfinite(h).all():
@@ -154,11 +160,11 @@ def _f_values(k_max: int, x) -> np.ndarray:
 
 def basis_f(i_site: int, k: int, x):
     """Value of the k-th orthonormal oscillator basis function
-    f_k(x) = e^{-x^2/2} H_k(x) / sqrt(2^k k! sqrt(pi)); the site index
-    only labels which coordinate the argument is."""
+    f_k(x) = e^{-x^2/2} H_k(x) / sqrt(2^k k! sqrt(pi)) at a finite scalar or array
+    x (else ValueError); the site index only labels which coordinate x is."""
     _in_range(i_site, 1, 3, ValueError, "site label")
     _in_range(k, 0, MAX_HERMITE_DEGREE, DegreeTooLarge, "degree")
-    vals = _f_values(k, x)[k]
+    vals = _f_values(k, _finite(x))[k]
     return vals if np.ndim(x) else float(vals)
 
 
@@ -380,19 +386,11 @@ def build_bundle(params: OscillatorParams) -> OscillatorMpsBundle:
     return OscillatorMpsBundle(a1=a1, a3=a3, mps=mps, params=params)
 
 
-def _point(x1: float, x2: float, x3: float) -> np.ndarray:
-    """The point (x1, x2, x3) as an array; a coordinate that is not finite is a ValueError."""
-    point = np.array([x1, x2, x3], dtype=float)
-    if not np.isfinite(point).all():
-        raise ValueError(f"the point must be finite, got {(x1, x2, x3)}")
-    return point
-
-
 def wavefunction_mps(bundle: OscillatorMpsBundle, x1: float, x2: float, x3: float) -> float:
     """Evaluate the assembled MPS against the basis functions at one point: each block of its
     folded chain (stored bond weights count) is contracted with its site's basis values, and
     ``_products`` multiplies the three matrices out."""
-    fs = _f_values(bundle.params.phys_cutoff - 1, _point(x1, x2, x3))
+    fs = _f_values(bundle.params.phys_cutoff - 1, _finite((x1, x2, x3), "the point"))
     blocks = map(lambda f, g: np.tensordot(f, g, axes=1)[None], fs.T, bundle.mps._chain)
     return float(_products(blocks, np.inf)[0][0, 0].real)
 
@@ -414,7 +412,7 @@ def wavefunction_direct(
     n, w = params.n, params.omega_tilde
     u1, u2, u3 = direction_cosines(params)
     # As Python floats, sqrt(w) * x rounds to inf without a warning, and _f_values clips it.
-    p1, p2, p3 = (_scaled_f(n, x, w) for x in _point(x1, x2, x3).tolist())
+    p1, p2, p3 = (_scaled_f(n, x, w) for x in _finite((x1, x2, x3), "the point").tolist())
     # (outer, first inner, last inner) modes: the Schmidt sum runs over
     # the outer mode's occupation, the inner sum over the first mode's.
     if route == "alpha":

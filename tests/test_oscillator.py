@@ -98,6 +98,16 @@ def test_basis_f_validation():
         basis_f(1, 201, 0.0)
 
 
+@pytest.mark.parametrize(
+    "x", [np.nan, np.inf, -np.inf, [0.0, np.nan]], ids=["nan", "inf", "-inf", "array-with-nan"]
+)
+def test_basis_f_rejects_a_coordinate_that_is_not_finite(x):
+    """basis_f takes hermite's coordinate rule: a value that is not finite is a ValueError,
+    not nan (or 0.0 past the recurrence's clip at |x| = 39)."""
+    with pytest.raises(ValueError, match="must be finite"):
+        basis_f(1, 3, x)
+
+
 def test_coeff_C_values():
     assert coeff_C(0, 0, 1.0) == pytest.approx(pi**-0.5, rel=1e-12)
     assert coeff_C(1, 0, 1.0) == pytest.approx(1.0 / sqrt(2 * pi), rel=1e-12)

@@ -71,6 +71,23 @@ def test_one_function_multiplies_out_a_chain():
     assert found == wanted
 
 
+def test_one_routine_builds_every_decomposed_state():
+    """In mps.py only ``_gauge`` constructs a MatrixProductState, and both ``decompose``
+    and ``truncate`` leave their state to it, so that a second state-building tail, with
+    its own weight division and range check, cannot come back."""
+    tree = ast.parse(next(p for p in SOURCES if p.name == "mps.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def builds(node):
+        return sum(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "MatrixProductState"
+            for sub in ast.walk(node)
+        )
+
+    assert "_gauge" in functions and builds(tree) == builds(functions["_gauge"]) >= 1
+    assert all("_gauge" in names_read(functions[name]) for name in ("decompose", "truncate"))
+
+
 def names_read(tree):
     """Every bare name ``tree`` reads (docstring text is not a read)."""
     return {

@@ -164,6 +164,32 @@ def test_constructions_are_bit_reproducible(case):
             assert a is None or a.values.tobytes() == b.values.tobytes(), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=6).map(tuple),
+    st.one_of(st.none(), policies),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_forms_share_one_right_sweep_bit_for_bit(shape, policy, data, seed):
+    """``mixed:c`` is the right sweep stopped at bond c: its center weights are the Vidal
+    form's bond-c weights, its sites c+1..N the right form's and its sites 1..c-1 the
+    left form's, byte for byte."""
+    t = unit_tensor(shape, seed)
+    c = data.draw(st.integers(1, len(shape) - 1), label="center")
+    left, right, vidal, mixed = (
+        decompose(t, form, center, policy)[0]
+        for form, center in (("left", None), ("right", None), ("vidal", None), ("mixed", c))
+    )
+
+    def same(a, b):
+        return a.as_array().shape == b.as_array().shape and a.data.tobytes() == b.data.tobytes()
+
+    assert mixed.bonds[c - 1].values.tobytes() == vidal.bonds[c - 1].values.tobytes()
+    assert all(map(same, mixed.sites[c:], right.sites[c:]))
+    assert all(map(same, mixed.sites[: c - 1], left.sites[: c - 1]))
+
+
 def spectrum_state(shape, kind, scale, seed):
     """An unnormalized random, GHZ-like or product tensor."""
     rng = np.random.default_rng(seed)
