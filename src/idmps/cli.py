@@ -1,18 +1,7 @@
 """Command-line front end.
 
-Four subcommands: decompose (tensor file -> MPS file in a chosen
-canonical form), reconstruct (MPS file -> tensor file), verify (gauge
-check of a claimed form), and oscillator (analytical three-site
-example). Each prints a single JSON report to stdout; diagnostics go to
-stderr. reconstruct --reference takes the residual in the reference's
-own array, so it holds two tensors, not their difference as well.
-
-Exit codes: 0 success, 1 malformed input or parameters (sizes that would
-make an array past ``MAX_ENTRIES`` entries included), 2 numerical failure
-(floating-point overflow and running out of memory included), 3
-verification / claimed-form failure. The environment variable IDMPS_RANK_TOL
-overrides the default rank-cut tolerance used by the decompositions; the
-weight its cut drops is part of the decompose report's truncation_errors.
+README "CLI" states its contract: the subcommands, their reports, the exit
+codes and ``IDMPS_RANK_TOL``.
 """
 
 import argparse

@@ -22,7 +22,7 @@ product: for the coefficient tables, ``to_dense`` and ``wavefunction_mps``.
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,7 +197,7 @@ class MatrixProductState:
         """The R factors of a QR ``_sweep`` over the chain and over its mirror:
         either side of any cut is an isometry times one of them."""
         n = self.num_sites - 1
-        return _sweep(list(self._chain), n, _qr), _sweep(_mirror(self._chain), n, _qr)
+        return _sweep(self._chain, n, _qr)[1], _sweep(_mirror(self._chain), n, _qr)[1]
 
     @cached_property
     def _envs(self) -> tuple[np.ndarray, ...]:
@@ -287,18 +287,12 @@ def _cut(s: np.ndarray, policy: TruncationPolicy | None, rank_tol: float) -> Cut
     return CutDiagnostics(s[:rank], keep, low_rank_error(s, keep) if keep < s.size else 0.0)
 
 
-def _check_nonzero(data: np.ndarray) -> None:
-    if not np.any(data):
-        raise ZeroState("cannot decompose the zero tensor")
-
-
 def _dense_sweep(
     t: DenseTensor, policy: TruncationPolicy | None, rank_tol: float
 ) -> tuple[list[np.ndarray], tuple[CutDiagnostics, ...]]:
     """TT-SVD, the only pass over dense data: ``_split`` of each unfolding leaves left isometries
     on sites 1..N-1, the remaining weight on site N and each cut's record; blocks are (phys, left,
     right). At its peak the sweep holds the input, one unfolding, the next and a slab."""
-    _check_nonzero(t.data)
     blocks, cuts = [], []
     m = t.data.reshape(1, -1)
     for d in t.shape[:-1]:
@@ -338,11 +332,11 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, r, _frozen(r)
 
 
-def _sweep(blocks: list[np.ndarray], stop: int, step: Callable[[np.ndarray], tuple]) -> tuple:
-    """Left-normalize blocks 0..``stop``-1 in place: ``step`` factors each block's (phys * left,
-    right) matrix into an isometry, which stays, and a weight, carried into the next block.
-    Returns the steps' records in order. Over ``_mirror(blocks)`` it is a right sweep."""
-    records = []
+def _sweep(blocks: Sequence[np.ndarray], stop: int, step: Callable[[np.ndarray], tuple]) -> tuple[list, tuple]:
+    """The chain with blocks 0..``stop``-1 left-normalized, and the steps' records in order:
+    ``step`` factors each block's (phys * left, right) matrix into an isometry, which stays, and
+    a weight, carried into the next block. Over ``_mirror(blocks)`` it is a right sweep."""
+    blocks, records = list(blocks), []
     for n in range(stop):
         g = blocks[n]
         q, w, record = step(g.reshape(-1, g.shape[2]))
@@ -350,7 +344,7 @@ def _sweep(blocks: list[np.ndarray], stop: int, step: Callable[[np.ndarray], tup
         with np.errstate(over="ignore", invalid="ignore"):  # the next step or _gauge rejects it
             blocks[n + 1] = np.matmul(w, blocks[n + 1])
         records.append(record)
-    return tuple(records)
+    return blocks, tuple(records)
 
 
 def _mirror(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -370,13 +364,14 @@ def _gauge(blocks: list[np.ndarray], form: str, center: int | None, rank_tol: fl
     ``center`` (1 for right and vidal), a gauge move whose ``rank_tol`` should cut only numerical
     zeros: it leaves the exact Schmidt values on each bond it crosses. The mixed form keeps its
     center bond's, the Vidal form every bond's, and the block left of a kept bond is divided by
-    them. A block that is not finite raises ConvergenceFailure (as do the weighted forms of a
-    near-subnormal state)."""
+    them. A zero chain raises ZeroState, a block that is not finite ConvergenceFailure (as do the
+    weighted forms of a near-subnormal state)."""
+    if not np.any(blocks[-1]):  # block N carries the norm; _cut has rejected a zero chain with a cut
+        raise ZeroState("the state is zero")
     kept = {"mixed": [center], "vidal": range(1, len(blocks))}.get(form)
     bonds = None if kept is None else [None] * (len(blocks) - 1)
     if form != "left":
-        mirror = _mirror(blocks)
-        steps = _sweep(mirror, len(blocks) - (center or 1), lambda a: _split(a, None, rank_tol))
+        mirror, steps = _sweep(_mirror(blocks), len(blocks) - (center or 1), lambda a: _split(a, None, rank_tol))
         blocks = _mirror(mirror)
         for n in kept or ():
             lam = steps[len(blocks) - 1 - n].spectrum  # bond n's step multiplied block n by Vh^T S
@@ -633,6 +628,8 @@ def truncate(
     if policy is None:
         raise PolicyEmpty("truncate needs a policy")
     blocks = m._chain
+    # Checked before any sweep: an infinite block would reach the SVD as NaN and fail as "did not
+    # converge", and a Vidal state that loses nothing would come back with no error at all.
     if not all(np.isfinite(g).all() for g in blocks):
         raise ConvergenceFailure(_CHAIN_RANGE)
     if m.form == "vidal" and m.bonds is not None and all(b is not None for b in m.bonds):
@@ -643,11 +640,8 @@ def truncate(
             return m, errors
         blocks = [g[:, :left, :right] for g, left, right in zip(blocks, [1] + keeps, keeps + [1])]
         policy = None
-    mirror = _mirror(blocks)
-    _sweep(mirror, len(blocks) - 1, _qr)
-    blocks = _mirror(mirror)
-    _check_nonzero(blocks[0])  # site 1's block now carries the whole state
-    steps = _sweep(blocks, len(blocks) - 1, lambda a: _split(a, policy, DEFAULT_RANK_TOL))
+    blocks = _mirror(_sweep(_mirror(blocks), len(blocks) - 1, _qr)[0])
+    blocks, steps = _sweep(blocks, len(blocks) - 1, lambda a: _split(a, policy, DEFAULT_RANK_TOL))
     if policy is not None:
         errors = [cut.discarded for cut in steps]
     return _gauge(blocks, "vidal", None, DEFAULT_RANK_TOL), errors

@@ -7,7 +7,6 @@ c[row, col] = sum_k lambda_k e_k[row] f_k[col].
 """
 
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +75,5 @@ def schmidt_reconstruct(sd: SchmidtDecomposition, shape: Sequence[int]) -> Dense
     dims = _dims(shape)
     if not (_integer(sd.cut) and 1 <= sd.cut <= len(dims) - 1):
         raise ShapeMismatch(f"cut {sd.cut} invalid for shape {dims}")
-    rows, cols = prod(dims[: sd.cut]), prod(dims[sd.cut :])
-    if sd.left_vectors.shape[0] != rows or sd.right_vectors.shape[0] != cols:
-        raise ShapeMismatch(
-            f"vector lengths {sd.left_vectors.shape[0]}x{sd.right_vectors.shape[0]} "
-            f"do not match shape {dims} split at {sd.cut}"
-        )
     m = (sd.left_vectors * sd.coefficients) @ sd.right_vectors.T
     return dematricize(m, dims, sd.cut)

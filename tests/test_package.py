@@ -88,6 +88,24 @@ def test_one_routine_builds_every_decomposed_state():
     assert all("_gauge" in names_read(functions[name]) for name in ("decompose", "truncate"))
 
 
+def test_only_the_cut_rule_and_the_gauge_reject_a_zero_state():
+    """In mps.py every ``raise ZeroState(...)`` sits in ``_cut``, which rejects a zero state
+    at every cut, or in ``_gauge``, which rejects a one-site chain that makes no cut, so that
+    a second scan for the zero state cannot come back."""
+    tree = ast.parse(next(p for p in SOURCES if p.name == "mps.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def raises(node):
+        return sum(
+            isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call)
+            and getattr(sub.exc.func, "id", None) == "ZeroState"
+            for sub in ast.walk(node)
+        )
+
+    assert raises(functions["_cut"]) == raises(functions["_gauge"]) == 1
+    assert raises(tree) == 2
+
+
 def names_read(tree):
     """Every bare name ``tree`` reads (docstring text is not a read)."""
     return {

@@ -14,6 +14,7 @@ from idmps import (
     MatrixProductState,
     SiteTensor,
     TruncationPolicy,
+    ZeroState,
     bond_spectrum,
     coefficient,
     decompose,
@@ -660,3 +661,39 @@ def test_verify_residuals_do_not_depend_on_the_scale(k, form, seed):
     skip = (want.boundary_site or 0) - 1
     diffs = [abs(a - b) for n, (a, b) in enumerate(zip(got.residuals, want.residuals)) if n != skip]
     assert len(got.residuals) == len(want.residuals) and max(diffs) <= 1e-14, (k, form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple))
+@example((1,))
+def test_the_zero_state_raises_the_cut_rules_error(shape):
+    """The zero tensor of any shape, in every form and at every mixed center, raises the
+    cut rule's ZeroState, and no numpy warning is raised on the way."""
+    t = tensor_new(shape, np.zeros(int(np.prod(shape))))
+    forms = [("left", None), ("right", None), ("vidal", None)]
+    forms += [("mixed", center) for center in range(1, t.ndim)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form, center in forms:
+            with pytest.raises(ZeroState, match="^the state is zero$"):
+                decompose(t, form, center)
+
+
+ZERO_CHAINS = {
+    "one zero site": (SiteTensor(3, 1, 1, np.zeros(3)),),
+    "two zero sites": (SiteTensor(2, 1, 2, np.zeros(4)), SiteTensor(2, 2, 1, np.zeros(4))),
+    # Nonzero sites whose bond vectors are orthogonal contract to zero.
+    "orthogonal bonds": (SiteTensor(1, 1, 2, np.array([1.0, 0.0])), SiteTensor(1, 2, 1, np.array([0.0, 1.0]))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ZERO_CHAINS)), st.sampled_from(["left", "unknown"]), policies)
+def test_truncating_a_zero_chain_raises_the_cut_rules_error(chain, form, policy):
+    """``truncate`` of a zero chain raises the cut rule's ZeroState under any policy,
+    and no numpy warning is raised on the way."""
+    m = MatrixProductState(sites=ZERO_CHAINS[chain], form=form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroState, match="^the state is zero$"):
+            truncate(m, policy)

@@ -126,6 +126,12 @@ def test_reconstruct_shape_mismatch():
         schmidt_reconstruct(sd, (2, 2, 2))
 
 
+def test_reconstruct_rejects_a_shape_whose_split_sizes_differ():
+    sd = schmidt_decompose(tensor_new((2, 4), np.arange(8, dtype=complex)), 1)
+    with pytest.raises(ShapeMismatch, match=r"matrix shape \(2, 4\) does not unfold to \(4, 2\) at cut 1"):
+        schmidt_reconstruct(sd, (4, 2))
+
+
 def test_reconstruct_rejects_a_cut_the_shape_does_not_have():
     data = np.arange(8, dtype=complex)
     sd = schmidt_decompose(tensor_new((2, 2, 2), data), 1)
